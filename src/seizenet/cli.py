@@ -35,6 +35,7 @@ from .errors import (
     ProtocolError,
     SamplerError,
     ShapeError,
+    SignalError,
     SpecError,
     TrainError,
     UnsupportedError,
@@ -76,6 +77,7 @@ CONFIG_FAILURES = (
     AnnotationError,
     MetricError,
     ShapeError,
+    SignalError,
     OSError,
     json.JSONDecodeError,
 )

@@ -562,7 +562,8 @@ def load_corpus(corpus_dir: str | Path) -> list[Recording]:
 
     Expects ``<subject>/<record>.edf`` files, an ``annotations.csv`` keyed by
     record id, and optionally a ``manifest.json`` (used for the file list
-    when present so ordering matches generation order).
+    when present so ordering matches generation order).  Raises
+    AnnotationError for an interval that ends past its record.
     """
     root = Path(corpus_dir)
     ann_path = root / "annotations.csv"
@@ -586,7 +587,14 @@ def load_corpus(corpus_dir: str | Path) -> list[Recording]:
     for subject_id, record_id, path in entries:
         rec = read_edf_file(path)
         rec = replace(rec, subject_id=subject_id, record_id=record_id)
-        rec = rec.with_seizures(annotations.get(record_id, []))
+        seizures = annotations.get(record_id, [])
+        for iv in seizures:
+            if iv.end_s > rec.duration_s + 1e-9:
+                raise AnnotationError(
+                    f"record {record_id!r}: seizure [{iv.start_s}, {iv.end_s}) "
+                    f"ends after the record's {rec.duration_s} s"
+                )
+        rec = rec.with_seizures(seizures)
         recordings.append(rec)
     return recordings
 

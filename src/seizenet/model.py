@@ -27,7 +27,7 @@ from .nn.ops import (
     multi_head_attention,
     softmax,
 )
-from .nn.tensor import Tensor, concat
+from .nn.tensor import Tensor, as_tensor, concat
 from .rand import Rng
 
 CONV_BLOCK_CHOICES = (3, 6)
@@ -336,10 +336,6 @@ def set_trainable(
 # ---------------------------------------------------------------------------
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def encode(
     config: ModelConfig,
     params: dict[str, Tensor],
@@ -348,7 +344,7 @@ def encode(
     training: bool = False,
 ) -> Tensor:
     """Conv stage: (C, T) or (N, C, T) -> (S, D) or (N, S, D)."""
-    x = _as_tensor(window)
+    x = as_tensor(window)
     if training and rng is None:
         raise ValueError("training-mode encode needs an rng")
     squeeze = x.ndim == 2
@@ -383,7 +379,7 @@ def encode(
 
 def prepend_special_token(seq: Tensor, value: float = -5.0) -> Tensor:
     """Insert a constant row at position 0 of (S, D) or (N, S, D)."""
-    seq = _as_tensor(seq)
+    seq = as_tensor(seq)
     if seq.ndim == 2:
         row = Tensor(np.full((1, seq.shape[1]), value))
         return concat([row, seq], axis=0)
@@ -460,7 +456,7 @@ def transformer_forward(
     training: bool = False,
 ) -> Tensor:
     """Positional grouped-conv encoding plus pre-norm transformer stack."""
-    seq = _as_tensor(seq)
+    seq = as_tensor(seq)
     if training and rng is None:
         raise ValueError("training-mode transformer needs an rng")
     if seq.shape[-1] != config.model_dim:
@@ -525,7 +521,7 @@ def classify(
     training: bool = False,
 ) -> Tensor:
     """Probability pair from the special-token row of a contextual sequence."""
-    seq = _as_tensor(seq)
+    seq = as_tensor(seq)
     if training and rng is None:
         raise ValueError("training-mode classify needs an rng")
     if seq.shape[-2] < 1:

@@ -19,7 +19,7 @@ from .ops import (
     multi_head_attention,
     softmax,
 )
-from .tensor import Tensor, as_tensor, concat
+from .tensor import Tensor, as_tensor, concat, no_grad
 
 __all__ = [
     "GradCheckReport",
@@ -38,6 +38,7 @@ __all__ = [
     "linear",
     "load_checkpoint",
     "multi_head_attention",
+    "no_grad",
     "parse_checkpoint",
     "save_checkpoint",
     "softmax",

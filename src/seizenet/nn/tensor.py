@@ -4,13 +4,37 @@ Every operation records an explicit backward rule on a tape; there is no
 general autodiff fallback, so the op set below is the whole differentiable
 vocabulary.  Arrays are float64 throughout: finite-difference validation
 needs double precision, and desk-scale training is cheap enough to keep it.
+
+``backward`` releases the graph as it walks it: once a node's rule has run,
+its gradient, parents and closure are dropped, so one graph supports one
+``backward`` and only leaves keep ``.grad``.  Inside ``no_grad()`` ops
+record nothing, which is how evaluation forwards run.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from ..errors import ShapeError
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no tape for ops run inside the block (evaluation forwards)."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+def _released(g):
+    raise RuntimeError("backward through a graph that was already released")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -27,7 +51,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A numpy array plus gradient accumulator and tape linkage."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = (
+        "data",
+        "grad",
+        "requires_grad",
+        "_parents",
+        "_backward",
+        "__weakref__",
+    )
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -41,7 +72,7 @@ class Tensor:
     @staticmethod
     def from_op(data, parents, backward) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -70,8 +101,12 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # empty_like keeps the layout of data, so later BLAS calls on
+            # the gradient see the same strides as with a zero fill
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -108,9 +143,15 @@ class Tensor:
                     stack.append((parent, False))
 
         self.accumulate_grad(np.asarray(grad, dtype=np.float64))
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:
+                # interior node: free its gradient and saved activations
+                node.grad = None
+                node._parents = ()
+                node._backward = _released
 
     # -- arithmetic ---------------------------------------------------------
 

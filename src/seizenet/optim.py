@@ -135,10 +135,6 @@ class PlateauEarlyStopper:
             return "reduce_lr"
         return "continue"
 
-    @property
-    def improved_this_epoch(self) -> bool:
-        return self.best_epoch == self.epoch
-
 
 def plateau_and_early_stop(history: list[float], spec: ScheduleSpec) -> str:
     """Decision for the latest epoch of a validation-loss history."""

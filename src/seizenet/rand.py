@@ -53,8 +53,5 @@ class Rng:
     def permutation(self, x):
         return self.gen.permutation(x)
 
-    def shuffle(self, x):
-        self.gen.shuffle(x)
-
     def __repr__(self):
         return f"Rng(seed={self.seed}, path={'/'.join(self.path) or '<root>'})"

@@ -28,7 +28,7 @@ from .model import (
     init_weights,
     set_trainable,
 )
-from .nn import Tensor
+from .nn import Tensor, no_grad
 from .objectives import (
     ContrastiveSpec,
     SswceSpec,
@@ -196,12 +196,13 @@ def contrastive_alignment(
     for i, start in enumerate(range(0, len(X), batch_size)):
         batch = X[start : start + batch_size]
         srng = rng.child("batch", i)
-        ctx, targets, masked = forward_pretrain(
-            config, params, batch, mask_spec, srng, training=False
-        )
-        loss, info = contrastive_loss(
-            ctx, targets, masked, contrastive_spec, srng.child("distractors")
-        )
+        with no_grad():
+            ctx, targets, masked = forward_pretrain(
+                config, params, batch, mask_spec, srng, training=False
+            )
+            loss, info = contrastive_loss(
+                ctx, targets, masked, contrastive_spec, srng.child("distractors")
+            )
         weight = len(batch)
         losses.append(float(loss.data) * weight)
         gaps.append(info["alignment_gap"] * weight)
@@ -312,11 +313,12 @@ def _predict_probs(
     batch_size: int,
 ) -> np.ndarray:
     chunks = []
-    for start in range(0, len(X), batch_size):
-        probs = forward_classifier(
-            config, params, X[start : start + batch_size], training=False
-        )
-        chunks.append(probs.data)
+    with no_grad():
+        for start in range(0, len(X), batch_size):
+            probs = forward_classifier(
+                config, params, X[start : start + batch_size], training=False
+            )
+            chunks.append(probs.data)
     return np.concatenate(chunks, axis=0)
 
 

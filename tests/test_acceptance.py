@@ -18,6 +18,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from seizenet.cli import main
 from seizenet.evalpost import (
@@ -511,6 +512,7 @@ def test_06_split_protocol_invariants():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_07_full_pipeline_learns_default_corpus():
     t0 = time.time()
     corpus = CorpusSpec()
@@ -707,6 +709,7 @@ def _epochs_to_detection(dataset, by_record, init, seed, max_epochs=40):
     return hit[0]
 
 
+@pytest.mark.slow
 def test_08_pretraining_aligns_and_transfers():
     t0 = time.time()
     recordings = [

@@ -9,6 +9,7 @@ full chain takes a couple of seconds.
 
 import filecmp
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from seizenet.cli import load_experiment, main
-from seizenet.errors import NumericsError, TrainError
+from seizenet.errors import NumericsError, SeizenetError, TrainError
 
 CORPUS_SPEC = {
     "subjects": 2,
@@ -376,6 +377,41 @@ class TestConfigErrors:
             )
             == 2
         )
+
+
+class TestCorruptCorpus:
+    def test_annotation_past_record_end_is_config_error(
+        self, workdir, tmp_path, capsys
+    ):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workdir["corpus_dir"], corpus)
+        with open(corpus / "annotations.csv", "a") as fh:
+            fh.write("s00_r00,100,110\n")
+        cfg = write_json(
+            tmp_path / "exp.json", experiment_dict(corpus, tmp_path / "out")
+        )
+        assert main(["pretrain", "--config", str(cfg), "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "'s00_r00'" in err and "[100.0, 110.0)" in err
+
+
+def _error_classes(base=SeizenetError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
+@pytest.mark.parametrize("cls", list(_error_classes()), ids=lambda c: c.__name__)
+def test_every_error_maps_to_a_documented_exit_code(
+    cls, workdir, monkeypatch, capsys
+):
+    def explode(*args, **kwargs):
+        raise cls("boom")
+
+    monkeypatch.setattr("seizenet.cli.run_pretraining", explode)
+    assert main(["pretrain", "--config", str(workdir["exp_cfg"])]) in (2, 3, 4)
+    assert "boom" in capsys.readouterr().err
 
 
 class TestNumericFailureMapping:

@@ -1,5 +1,8 @@
 """Kernel-level tests: forward values against hand sums, gradients against
-central finite differences, and the checkpoint container format."""
+central finite differences, graph release and ``no_grad``, and the
+checkpoint container format."""
+
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -20,11 +23,14 @@ from seizenet.nn import (
     layer_norm,
     linear,
     multi_head_attention,
+    no_grad,
     parse_checkpoint,
     softmax,
 )
+from seizenet.model import ModelConfig, forward_classifier, init_weights
 from seizenet.preprocess import normalize
 from seizenet.rand import Rng
+from seizenet.training import _predict_probs
 
 
 def rand_tensor(rng, *shape, scale=1.0):
@@ -79,6 +85,122 @@ class TestTensorBasics:
         a = Tensor(np.array([3.0]), requires_grad=True)
         ((a * a) + a).backward()  # d/da (a^2 + a) = 2a + 1
         npt.assert_allclose(a.grad, [7.0])
+
+
+class TestGraphRelease:
+    @staticmethod
+    def two_layer_loss(w1, w2, x):
+        return (gelu(x @ w1) @ w2).sum()
+
+    def test_backward_frees_interior_nodes(self):
+        rng = Rng(30).child("t")
+        w = rand_tensor(rng, 4, 3)
+        hidden = gelu(Tensor(rng.normal(size=(2, 4))) @ w)
+        alive = weakref.ref(hidden)
+        loss = (hidden * hidden).sum()
+        del hidden
+        assert alive() is not None  # the tape holds it until backward
+        loss.backward()
+        assert alive() is None
+        assert loss.grad is None
+        assert w.grad is not None
+
+    def test_leaf_grads_match_an_independent_pass(self):
+        rng = Rng(31).child("t")
+        w1, w2 = rng.normal(size=(4, 5)), rng.normal(size=(5, 2))
+        x = Tensor(rng.normal(size=(3, 4)))
+        grads = []
+        for _ in range(2):
+            a, b = Tensor(w1.copy(), True), Tensor(w2.copy(), True)
+            self.two_layer_loss(a, b, x).backward()
+            grads.append((a.grad, b.grad))
+        npt.assert_array_equal(grads[0][0], grads[1][0])
+        npt.assert_array_equal(grads[0][1], grads[1][1])
+        hidden = gelu(Tensor(x.data @ w1)).data
+        npt.assert_allclose(grads[0][1], hidden.T @ np.ones((3, 2)), rtol=1e-12)
+
+    def test_second_backward_through_a_graph_raises(self):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        shared = a * 3.0
+        loss = (shared * shared).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already released"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="already released"):
+            shared.sum().backward()
+
+    def test_first_gradient_write_keeps_the_layout_of_data(self):
+        rng = Rng(32).child("t")
+        data = np.asfortranarray(rng.normal(size=(3, 4)))
+        t = Tensor(data, requires_grad=True)
+        g = rng.normal(size=(3, 4))
+        t.accumulate_grad(g)
+        assert t.grad.strides == data.strides
+        npt.assert_array_equal(t.grad, np.zeros_like(data) + g)
+        row = rng.normal(size=4)
+        t.zero_grad()
+        t.accumulate_grad(row)
+        npt.assert_array_equal(t.grad, np.zeros_like(data) + row)
+
+
+class TestNoGrad:
+    def test_ops_record_nothing(self):
+        rng = Rng(33).child("t")
+        x = rand_tensor(rng, 2, 3, 8)
+        w = rand_tensor(rng, 4, 3, 2)
+        with no_grad():
+            out = softmax(gelu(conv1d(x, w, stride=2)) @ rand_tensor(rng, 4, 4))
+        assert not out.requires_grad
+        assert (x * 2.0).requires_grad
+
+    def test_flag_restored_after_nesting_and_exceptions(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                pass
+            assert not (a + 1.0).requires_grad
+        assert (a + 1.0).requires_grad
+        with pytest.raises(KeyError):
+            with no_grad():
+                raise KeyError("inside")
+        assert (a + 1.0).requires_grad
+
+    def test_predict_probs_records_no_tape_and_matches_a_recording_forward(
+        self, monkeypatch
+    ):
+        taped = []
+        from_op = Tensor.from_op
+
+        def counting_from_op(data, parents, backward):
+            out = from_op(data, parents, backward)
+            taped.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(Tensor, "from_op", staticmethod(counting_from_op))
+        config = ModelConfig(
+            in_channels=2,
+            conv_blocks=3,
+            conv_channels=16,
+            transformer_layers=2,
+            heads=4,
+            model_dim=16,
+            ffn_dim=32,
+            classifier_dims=((16, 8), (8, 2)),
+            group_norm_groups=4,
+            pos_conv_kernel=5,
+            pos_conv_groups=4,
+        )
+        params = init_weights(config, "random", Rng(34).child("init"))
+        X = Rng(35).child("x").normal(size=(5, 2, 72))
+        recorded = forward_classifier(config, params, X[:3])
+        assert recorded.requires_grad
+        recorded = np.concatenate(
+            [recorded.data, forward_classifier(config, params, X[3:]).data]
+        )
+        assert any(taped)
+        taped.clear()
+        npt.assert_array_equal(_predict_probs(config, params, X, 3), recorded)
+        assert taped and not any(taped)
 
 
 class TestConv1d:
