@@ -16,7 +16,6 @@ from .eegio import (
     load_corpus,
     parse_edf,
     read_edf_file,
-    select_channels,
     windows_from_recordings,
     write_edf,
     write_edf_file,
@@ -124,7 +123,6 @@ __all__ = [
     "preprocess_recording_samples",
     "read_edf_file",
     "run_fold",
-    "select_channels",
     "run_pretraining",
     "run_second_pretraining",
     "score_track",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -49,7 +48,7 @@ from .evalpost import (
     truth_events_from_intervals,
 )
 from .model import MaskSpec, ModelConfig
-from .nn.checkpoint import config_hash, load_checkpoint, save_checkpoint
+from .nn.checkpoint import config_hash, load_checkpoint, save_checkpoint, write_atomic
 from .objectives import ContrastiveSpec, SswceSpec
 from .optim import OptimSpec, ScheduleSpec
 from .preprocess import FilterSpec
@@ -252,10 +251,7 @@ def _dump_json(data) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    write_atomic(path, text.encode("utf-8"))
 
 
 def _corpus_hash(corpus_dir: Path) -> str | None:
@@ -274,6 +270,20 @@ def _score_dict(score: EventScore) -> dict:
         "sensitivity": score.sensitivity,
         "fp_per_h": score.fp_per_h,
     }
+
+
+def _write_table(path: Path, key_columns: str, rows) -> None:
+    """Write and print a score table; ``rows`` are (key, key, score dict)."""
+    lines = [f"{key_columns},detected_events,total_events,detected_pct,fp_per_h"]
+    for first, second, score in rows:
+        sensitivity = score["sensitivity"]
+        pct = "" if sensitivity is None else f"{100.0 * sensitivity:.2f}"
+        lines.append(
+            f"{first},{second},{score['detected_events']},"
+            f"{score['total_events']},{pct},{score['fp_per_h']:.4f}"
+        )
+    _write_atomic(path, "\n".join(lines) + "\n")
+    print("\n".join(lines))
 
 
 def _losses_csv(result) -> str:
@@ -297,6 +307,7 @@ def _train_summary(result) -> dict:
 
 
 def _load_prepared(exp: Experiment):
+    """(recordings, windows); keep only [1] to free the raw samples."""
     recordings = load_corpus(exp.corpus_dir)
     dataset = prepare_recordings(
         recordings,
@@ -352,7 +363,7 @@ def cmd_synth(args) -> int:
 
 def cmd_pretrain(args) -> int:
     exp = load_experiment(args.config, args.seed, args.out)
-    _, dataset = _load_prepared(exp)
+    dataset = _load_prepared(exp)[1]
     if args.dry_run:
         print(
             f"would pretrain on {len(dataset)} windows "
@@ -398,8 +409,8 @@ def cmd_pretrain(args) -> int:
 
 def cmd_second_pretrain(args) -> int:
     exp = load_experiment(args.config, args.seed, args.out)
-    _, dataset = _load_prepared(exp)
-    subjects = sorted(set(dataset.subject_ids()))
+    dataset = _load_prepared(exp)[1]
+    subjects = sorted(dataset.subject_ids())
     if args.dry_run:
         print(f"would second-pretrain for targets: {', '.join(subjects)}")
         return 0
@@ -477,7 +488,7 @@ def _fold_task(task: dict) -> dict:
 def cmd_loocv(args) -> int:
     exp = load_experiment(args.config, args.seed, args.out)
     recordings, dataset = _load_prepared(exp)
-    by_record = {rec.record_id: rec for rec in recordings}
+    seizures = {rec.record_id: rec.seizures for rec in recordings}
     subjects = sorted(set(rec.subject_id for rec in recordings))
 
     plans: list[FoldPlan] = []
@@ -517,12 +528,18 @@ def cmd_loocv(args) -> int:
                 exp.out_dir / f"second_{subject}.ckpt", exp
             )
 
+    # subsets are copies: build one per subject, shared by its folds, and
+    # drop the full dataset and the raw records before any fold trains
+    by_subject = {
+        subject: dataset.subset(lambda w, s=subject: w.subject_id == s)
+        for subject in subjects
+    }
+    sample_rate_hz = dataset.sample_rate_hz
+    del recordings, dataset
     tasks = [
         {
             "plan": plan,
-            "dataset": dataset.subset(
-                lambda w, s=plan.subject_id: w.subject_id == s
-            ),
+            "dataset": by_subject[plan.subject_id],
             "model": exp.model,
             "seed": exp.seed,
             "init": init_by_subject[plan.subject_id],
@@ -545,10 +562,9 @@ def cmd_loocv(args) -> int:
     scores_by_subject: dict[str, list[EventScore]] = {}
     for outcome in outcomes:
         plan = outcome["plan"]
-        rec = by_record[plan.test_record]
         n_windows = len(outcome["probs"])
         events = truth_events_from_intervals(
-            rec.seizures, n_windows, exp.window_s, rec.sample_rate_hz
+            seizures[plan.test_record], n_windows, exp.window_s, sample_rate_hz
         )
         track = PredictionTrack(
             record_id=plan.test_record,
@@ -589,25 +605,12 @@ def cmd_loocv(args) -> int:
     }
     _write_atomic(exp.out_dir / "loocv_result.json", _dump_json(payload))
 
-    def table_row(name: str, folds: int, score: EventScore) -> str:
-        pct = (
-            f"{100.0 * score.sensitivity:.2f}"
-            if score.sensitivity is not None
-            else ""
-        )
-        return (
-            f"{name},{folds},{score.detected_events},{score.total_events},"
-            f"{pct},{score.fp_per_h:.4f}"
-        )
-
-    lines = ["subject,folds,detected_events,total_events,detected_pct,fp_per_h"]
-    for subject in sorted(per_subject):
-        lines.append(
-            table_row(subject, len(scores_by_subject[subject]), per_subject[subject])
-        )
-    lines.append(table_row("OVERALL", len(plans), overall))
-    _write_atomic(exp.out_dir / "loocv_table.csv", "\n".join(lines) + "\n")
-    print("\n".join(lines))
+    rows = [
+        (subject, len(scores_by_subject[subject]), payload["per_subject"][subject])
+        for subject in sorted(per_subject)
+    ]
+    rows.append(("OVERALL", len(plans), payload["overall"]))
+    _write_table(exp.out_dir / "loocv_table.csv", "subject,folds", rows)
     return 0
 
 
@@ -668,20 +671,11 @@ def cmd_eval(args) -> int:
     }
     _write_atomic(pred_dir / "eval_result.json", _dump_json(payload))
 
-    lines = ["method,w,detected_events,total_events,detected_pct,fp_per_h"]
-    for row in rows:
-        pct = (
-            f"{100.0 * row['sensitivity']:.2f}"
-            if row["sensitivity"] is not None
-            else ""
-        )
-        w = "" if row["w"] is None else row["w"]
-        lines.append(
-            f"{row['method']},{w},{row['detected_events']},"
-            f"{row['total_events']},{pct},{row['fp_per_h']:.4f}"
-        )
-    _write_atomic(pred_dir / "eval_table.csv", "\n".join(lines) + "\n")
-    print("\n".join(lines))
+    _write_table(
+        pred_dir / "eval_table.csv",
+        "method,w",
+        [(row["method"], "" if row["w"] is None else row["w"], row) for row in rows],
+    )
     return 0
 
 

@@ -1,4 +1,4 @@
-"""EDF ingestion, channel selection, and window segmentation.
+"""EDF ingestion and window segmentation.
 
 Supports the EDF subset used by CHB-MIT-style corpora: one sampling rate for
 all signals, continuous records, little-endian 16-bit samples, and seizure
@@ -96,60 +96,86 @@ class Recording:
 
 @dataclass(frozen=True)
 class Window:
-    """One fixed-length labeled window with provenance."""
+    """One labeled window with provenance: a row view of its dataset."""
 
     subject_id: str
     record_id: str
     index: int
-    data: np.ndarray  # (C, T)
+    data: np.ndarray  # (C, T) view of WindowedDataset.X
     label: int
 
 
-@dataclass
+@dataclass(eq=False)
 class WindowedDataset:
-    """Ordered list of non-overlapping labeled windows."""
+    """Non-overlapping labeled windows stored as columns, one row per window.
 
-    windows: list[Window]
+    ``X`` is a C-contiguous (N, C, T) float64 array; ``y`` (int64 labels),
+    ``subject``, ``record`` and ``index`` (position within its record) are
+    length-N columns.  Every column is read-only, so ``matrix()`` and the
+    ``Window`` rows hand out views without copying.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    subject: np.ndarray
+    record: np.ndarray
+    index: np.ndarray
     window_s: float
-    channel_count: int
-    samples_per_window: int
     sample_rate_hz: int
 
+    def __post_init__(self):
+        for column in (self.X, self.y, self.subject, self.record, self.index):
+            column.flags.writeable = False
+
+    @property
+    def channel_count(self) -> int:
+        return self.X.shape[1]
+
+    @property
+    def samples_per_window(self) -> int:
+        return self.X.shape[2]
+
     def __len__(self):
-        return len(self.windows)
+        return len(self.X)
 
     def __iter__(self):
-        return iter(self.windows)
+        return map(
+            Window,
+            self.subject.tolist(),
+            self.record.tolist(),
+            self.index.tolist(),
+            self.X,
+            self.y.tolist(),
+        )
+
+    @property
+    def windows(self) -> list[Window]:
+        return list(self)
 
     def labels(self) -> np.ndarray:
-        return np.array([w.label for w in self.windows], dtype=np.int64)
+        return self.y
 
     def matrix(self) -> np.ndarray:
-        """Stack windows into an (n, C, T) array (empty-safe)."""
-        if not self.windows:
-            return np.zeros(
-                (0, self.channel_count, self.samples_per_window), dtype=np.float64
-            )
-        return np.stack([w.data for w in self.windows])
+        """The (N, C, T) window array itself, not a copy."""
+        return self.X
 
     def subject_ids(self) -> list[str]:
-        seen = dict.fromkeys(w.subject_id for w in self.windows)
-        return list(seen)
+        return list(dict.fromkeys(self.subject.tolist()))
 
     def record_ids(self) -> list[str]:
-        seen = dict.fromkeys(w.record_id for w in self.windows)
-        return list(seen)
+        return list(dict.fromkeys(self.record.tolist()))
 
     def subset(self, predicate) -> "WindowedDataset":
-        return replace(self, windows=[w for w in self.windows if predicate(w)])
-
-    def extend(self, other: "WindowedDataset") -> "WindowedDataset":
-        if (
-            other.channel_count != self.channel_count
-            or other.samples_per_window != self.samples_per_window
-        ):
-            raise ValueError("cannot merge datasets with different window shapes")
-        return replace(self, windows=self.windows + other.windows)
+        """A copy holding the windows ``predicate`` accepts, in order."""
+        mask = np.fromiter(map(predicate, self), dtype=bool, count=len(self))
+        return replace(
+            self,
+            X=self.X[mask],
+            y=self.y[mask],
+            subject=self.subject[mask],
+            record=self.record[mask],
+            index=self.index[mask],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -415,89 +441,23 @@ def write_edf_file(path: str | Path, rec: Recording) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Channel selection and windowing
+# Windowing
 # ---------------------------------------------------------------------------
 
 
-def _canon(label: str) -> str:
-    return label.strip().lower()
+def _seizure_sample_spans(seizures: list[SeizureInterval], fs: int) -> np.ndarray:
+    """Seizure intervals as a (k, 2) array of half-open sample spans."""
+    spans = [(np.floor(iv.start_s * fs), np.ceil(iv.end_s * fs)) for iv in seizures]
+    return np.array(spans, dtype=np.int64).reshape(-1, 2)
 
 
-def select_channels(rec: Recording, wanted: list[str]) -> Recording:
-    """Restrict a recording to ``wanted`` channels, in the wanted order.
-
-    Labels match case-insensitively after whitespace stripping.
-    """
-    index = {}
-    for i, lab in enumerate(rec.channels):
-        index.setdefault(_canon(lab), i)
-    rows = []
-    for lab in wanted:
-        key = _canon(lab)
-        if key not in index:
-            raise ChannelError(f"channel {lab!r} not present in {rec.record_id}")
-        rows.append(index[key])
-    return replace(
-        rec,
-        channels=[rec.channels[i] for i in rows],
-        samples=rec.samples[rows].copy(),
-    )
-
-
-def _seizure_sample_spans(
-    seizures: list[SeizureInterval], fs: int
-) -> list[tuple[int, int]]:
-    return [
-        (int(np.floor(iv.start_s * fs)), int(np.ceil(iv.end_s * fs)))
-        for iv in seizures
-    ]
-
-
-def window_label(
-    start_sample: int, end_sample: int, spans: list[tuple[int, int]]
-) -> int:
-    """1 iff [start_sample, end_sample) overlaps any span by >= 1 sample."""
-    for s, e in spans:
-        if max(start_sample, s) < min(end_sample, e):
-            return 1
-    return 0
-
-
-def segment_windows(
-    rec: Recording, window_s: float, overlap_s: float = 0.0
-) -> WindowedDataset:
+def segment_windows(rec: Recording, window_s: float) -> WindowedDataset:
     """Cut a recording into consecutive fixed-length labeled windows.
 
     A window is labeled 1 iff it overlaps a seizure interval by at least one
     sample.  The trailing partial window is discarded, never padded.
     """
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
-    if overlap_s < 0 or overlap_s >= window_s:
-        raise ValueError("overlap_s must lie in [0, window_s)")
-    fs = rec.sample_rate_hz
-    T = int(round(window_s * fs))
-    step = int(round((window_s - overlap_s) * fs))
-    spans = _seizure_sample_spans(rec.seizures, fs)
-
-    windows = []
-    start = 0
-    idx = 0
-    while start + T <= rec.n_samples:
-        data = rec.samples[:, start : start + T]
-        label = window_label(start, start + T, spans)
-        windows.append(
-            Window(rec.subject_id, rec.record_id, idx, data.copy(), label)
-        )
-        start += step
-        idx += 1
-    return WindowedDataset(
-        windows=windows,
-        window_s=window_s,
-        channel_count=rec.n_channels,
-        samples_per_window=T,
-        sample_rate_hz=fs,
-    )
+    return windows_from_recordings([rec], window_s)
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +562,50 @@ def load_corpus(corpus_dir: str | Path) -> list[Recording]:
 def windows_from_recordings(
     recordings: list[Recording], window_s: float = 8.0
 ) -> WindowedDataset:
-    """Segment many recordings and concatenate their windows."""
+    """Cut each recording as ``segment_windows`` does, windows in order.
+
+    Raises ChannelError when records disagree in channel count and
+    UnsupportedError when they disagree in sample rate.
+    """
     if not recordings:
         raise ValueError("no recordings given")
-    parts = [segment_windows(rec, window_s) for rec in recordings]
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = merged.extend(part)
-    return merged
+    first = recordings[0]
+    for rec in recordings[1:]:
+        if rec.n_channels != first.n_channels:
+            raise ChannelError(
+                f"record {rec.record_id!r} has {rec.n_channels} channels, "
+                f"record {first.record_id!r} has {first.n_channels}"
+            )
+        if rec.sample_rate_hz != first.sample_rate_hz:
+            raise UnsupportedError(
+                f"record {rec.record_id!r} is sampled at {rec.sample_rate_hz} Hz, "
+                f"record {first.record_id!r} at {first.sample_rate_hz} Hz"
+            )
+    if window_s <= 0:
+        raise ValueError("window_s must be positive")
+    fs = first.sample_rate_hz
+    T = int(round(window_s * fs))
+    if T < 1:
+        raise ValueError(f"window_s {window_s} is shorter than one sample")
+
+    counts = [rec.n_samples // T for rec in recordings]
+    views, labels = [], []
+    for rec, n in zip(recordings, counts):
+        # (C, n*T) -> (n, C, T) is a view; the one copy is the concatenate
+        C = rec.n_channels
+        views.append(rec.samples[:, : n * T].reshape(C, n, T).transpose(1, 0, 2))
+        starts = np.arange(n)[:, None] * T
+        spans = _seizure_sample_spans(rec.seizures, fs)
+        overlaps = (starts < spans[:, 1]) & (spans[:, 0] < starts + T)
+        labels.append(overlaps.any(axis=1))
+    # out= keeps X C-contiguous; concatenate alone keeps the views' layout
+    X = np.empty((sum(counts), first.n_channels, T))
+    return WindowedDataset(
+        X=np.concatenate(views, out=X),
+        y=np.concatenate(labels).astype(np.int64),
+        subject=np.repeat([rec.subject_id for rec in recordings], counts),
+        record=np.repeat([rec.record_id for rec in recordings], counts),
+        index=np.concatenate([np.arange(n) for n in counts]),
+        window_s=window_s,
+        sample_rate_hz=fs,
+    )

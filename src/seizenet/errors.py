@@ -24,7 +24,7 @@ class UnsupportedError(SeizenetError):
 
 
 class ChannelError(SeizenetError):
-    """Requested channel label not present in a recording."""
+    """Records of one corpus disagree in their channel count."""
 
 
 class AnnotationError(SeizenetError):

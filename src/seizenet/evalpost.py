@@ -50,24 +50,10 @@ def smooth_majority(labels, w: int) -> np.ndarray:
     return (_sliding(arr, w).sum(axis=-1) * 2 > w).astype(np.int64)
 
 
-def smooth_minpool(values, w: int, domain: str = "labels") -> np.ndarray:
-    """Sliding-window minimum with edge replication.
-
-    In the probability domain the pooled values are returned as floats and
-    thresholding is the caller's next step; in the label domain this is
-    binary erosion.
-    """
+def smooth_minpool(labels, w: int) -> np.ndarray:
+    """Sliding-window minimum with edge replication: binary erosion."""
     _check_window(w)
-    if domain == "labels":
-        arr = _check_labels(values)
-    elif domain == "probabilities":
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ConfigError("probabilities must be one-dimensional")
-        if arr.size and (arr.min() < 0 or arr.max() > 1):
-            raise ConfigError("probabilities must lie in [0, 1]")
-    else:
-        raise ConfigError(f"unknown domain {domain!r}")
+    arr = _check_labels(labels)
     if arr.size == 0:
         return arr
     return _sliding(arr, w).min(axis=-1)
@@ -81,7 +67,7 @@ def postprocess_labels(labels, method: str, w: int) -> np.ndarray:
     if method in ("majority", "majority+minpool"):
         arr = smooth_majority(arr, w)
     if method in ("minpool", "majority+minpool"):
-        arr = smooth_minpool(arr, w, domain="labels")
+        arr = smooth_minpool(arr, w)
     return arr
 
 

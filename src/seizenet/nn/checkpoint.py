@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -49,10 +50,23 @@ def checkpoint_bytes(params: dict[str, Tensor | np.ndarray], config: dict) -> by
     return MAGIC + struct.pack("<Q", len(manifest)) + manifest + bytes(payload)
 
 
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` through a temp file and a rename, so ``path`` holds
+    either its old bytes or all of the new ones, and no temp file is left."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(
     path: str | Path, params: dict[str, Tensor | np.ndarray], config: dict
 ) -> None:
-    Path(path).write_bytes(checkpoint_bytes(params, config))
+    write_atomic(path, checkpoint_bytes(params, config))
 
 
 def parse_checkpoint(data: bytes) -> tuple[dict[str, np.ndarray], dict]:

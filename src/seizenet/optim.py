@@ -152,18 +152,13 @@ def plateau_and_early_stop(history: list[float], spec: ScheduleSpec) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _as_labels(dataset) -> np.ndarray:
-    labels = dataset.labels() if hasattr(dataset, "labels") else dataset
-    return np.asarray(labels, dtype=np.int64)
-
-
-def weighted_sampler(dataset, rng: Rng, chunk: int = 1024):
+def weighted_sampler(labels, rng: Rng, chunk: int = 1024):
     """Infinite index stream with per-sample weight 1/count(class).
 
     Expected class mix is 50/50 regardless of imbalance.  Deterministic
     given the rng.  Raises SamplerError when only one class is present.
     """
-    labels = _as_labels(dataset)
+    labels = np.asarray(labels, dtype=np.int64)
     classes, counts = np.unique(labels, return_counts=True)
     if len(classes) < 2:
         raise SamplerError(

@@ -131,25 +131,33 @@ def prepare_recordings(
     filter_spec: FilterSpec | None = None,
     normalization: str | None = "meanstd",
 ) -> WindowedDataset:
-    """Filter whole records, cut windows, then normalize each window."""
-    filtered = []
-    for rec in recordings:
-        samples = rec.samples
-        if filter_spec is not None:
-            samples = preprocess_recording_samples(samples, filter_spec)
-        filtered.append(replace(rec, samples=samples))
-    ds = windows_from_recordings(filtered, window_s)
+    """Filter whole records, cut windows, then normalize each window.
+
+    Raises ConfigError when the filter was designed for another sample
+    rate than a record's.
+    """
+    if filter_spec is not None:
+        for rec in recordings:
+            if rec.sample_rate_hz != filter_spec.sample_rate_hz:
+                raise ConfigError(
+                    f"record {rec.record_id!r} is sampled at "
+                    f"{rec.sample_rate_hz} Hz but the band-pass filter is "
+                    f"designed for {filter_spec.sample_rate_hz} Hz"
+                )
+        recordings = [
+            replace(
+                rec, samples=preprocess_recording_samples(rec.samples, filter_spec)
+            )
+            for rec in recordings
+        ]
+    ds = windows_from_recordings(recordings, window_s)
+    del recordings  # free the filtered copies before normalizing
     if normalization is None:
         return ds
-    windows = [
-        replace(w, data=normalize(w.data, normalization)) for w in ds.windows
-    ]
-    return replace(ds, windows=windows)
+    return replace(ds, X=normalize(ds.X, normalization))
 
 
 def _as_matrix(windows) -> np.ndarray:
-    if isinstance(windows, WindowedDataset):
-        return windows.matrix()
     arr = np.asarray(windows, dtype=np.float64)
     if arr.ndim != 3:
         raise ConfigError(f"expected (N, C, T) windows, got shape {arr.shape}")
@@ -438,15 +446,14 @@ def run_second_pretraining(
     epoch_callback=None,
 ) -> TrainResult:
     """Supervised training on every subject except the evaluation target."""
-    subjects = sorted(set(dataset.subject_ids()))
+    subjects = sorted(dataset.subject_ids())
     if target_subject not in subjects:
         raise ProtocolError(f"target subject {target_subject!r} not in corpus")
     if len(subjects) < 2:
         raise ProtocolError("second pretraining needs at least 2 subjects")
 
     pool = dataset.subset(lambda w: w.subject_id != target_subject)
-    leaked = [w for w in pool.windows if w.subject_id == target_subject]
-    if leaked:
+    if np.any(pool.subject == target_subject):
         raise ProtocolError("target windows leaked into second pretraining")
 
     X = pool.matrix()
@@ -478,7 +485,7 @@ def run_second_pretraining(
     )
     result.info = {
         "target_subject": target_subject,
-        "train_subjects": sorted(set(w.subject_id for w in pool.windows)),
+        "train_subjects": sorted(pool.subject_ids()),
         "train_window_count": int(train_idx.size),
         "val_window_count": int(val_idx.size),
     }
@@ -550,10 +557,9 @@ def run_fold(
     val_ds = records_subset(plan.val_records)
     test_ds = records_subset([plan.test_record])
     for name, part in (("train", train_ds), ("val", val_ds), ("test", test_ds)):
-        if not part.windows:
+        if not len(part):
             raise ProtocolError(f"fold {plan.test_record!r}: empty {name} split")
-        foreign = [w for w in part.windows if w.subject_id != plan.subject_id]
-        if foreign:
+        if np.any(part.subject != plan.subject_id):
             raise ProtocolError(
                 f"fold {plan.test_record!r}: {name} split crosses subjects"
             )

@@ -14,9 +14,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from seizenet.cli import load_experiment, main
+from seizenet.eegio import Recording, write_edf_file
 from seizenet.errors import NumericsError, SeizenetError, TrainError
 
 CORPUS_SPEC = {
@@ -394,6 +396,50 @@ class TestCorruptCorpus:
         err = capsys.readouterr().err
         assert "config error" in err
         assert "'s00_r00'" in err and "[100.0, 110.0)" in err
+
+    def _replace_record(self, corpus, channels, rate):
+        # 64 s long at any rate, so the record's annotation still fits
+        write_edf_file(
+            corpus / "s00" / "s00_r01.edf",
+            Recording(
+                subject_id="s00",
+                record_id="s00_r01",
+                sample_rate_hz=rate,
+                channels=[f"C{i}" for i in range(channels)],
+                samples=np.zeros((channels, rate * 64)),
+            ),
+        )
+
+    def _dry_run(self, workdir, tmp_path, capsys, channels, rate, **overrides):
+        """Dry-run pretrain with s00_r01 swapped for an odd record."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workdir["corpus_dir"], corpus)
+        self._replace_record(corpus, channels, rate)
+        exp = experiment_dict(corpus, tmp_path / "out", **overrides)
+        cfg = write_json(tmp_path / "exp.json", exp)
+        assert main(["pretrain", "--config", str(cfg), "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'s00_r01'" in err
+        return err
+
+    def test_mixed_channel_counts_is_config_error(
+        self, workdir, tmp_path, capsys
+    ):
+        err = self._dry_run(workdir, tmp_path, capsys, channels=3, rate=64)
+        assert "3 channels" in err
+
+    def test_mixed_sample_rates_is_config_error(self, workdir, tmp_path, capsys):
+        unfiltered = {"filter": None}
+        err = self._dry_run(
+            workdir, tmp_path, capsys, channels=2, rate=128, preprocess=unfiltered
+        )
+        assert "sampled at 128 Hz" in err
+
+    def test_filter_rate_mismatch_is_config_error(
+        self, workdir, tmp_path, capsys
+    ):
+        err = self._dry_run(workdir, tmp_path, capsys, channels=2, rate=128)
+        assert "designed for 64 Hz" in err
 
 
 def _error_classes(base=SeizenetError):

@@ -18,14 +18,12 @@ from seizenet.eegio import (
     load_corpus,
     parse_edf,
     segment_windows,
-    select_channels,
     windows_from_recordings,
     write_edf,
     write_edf_file,
 )
 from seizenet.errors import (
     AnnotationError,
-    ChannelError,
     ParseError,
     UnsupportedError,
 )
@@ -279,32 +277,6 @@ class TestRecordingInvariants:
             SeizureInterval(-1, 5)
 
 
-class TestSelectChannels:
-    def test_case_insensitive_reorder(self):
-        rec = Recording(
-            subject_id="s",
-            record_id="r",
-            sample_rate_hz=4,
-            channels=["FP1-F7", " C3-P3 ", "T8-P8"],
-            samples=np.arange(12, dtype=float).reshape(3, 4),
-        )
-        sub = select_channels(rec, ["c3-p3", "fp1-f7"])
-        assert sub.channels == [" C3-P3 ", "FP1-F7"]
-        npt.assert_allclose(sub.samples[0], rec.samples[1])
-        npt.assert_allclose(sub.samples[1], rec.samples[0])
-
-    def test_missing_channel_raises(self):
-        rec = Recording(
-            subject_id="s",
-            record_id="r",
-            sample_rate_hz=4,
-            channels=["A"],
-            samples=np.zeros((1, 4)),
-        )
-        with pytest.raises(ChannelError, match="'B'"):
-            select_channels(rec, ["B"])
-
-
 def _silent_recording(seconds, fs=256, n_channels=2, seizures=()):
     return Recording(
         subject_id="s01",
@@ -367,8 +339,6 @@ class TestSegmentWindows:
         rec = _silent_recording(24)
         with pytest.raises(ValueError):
             segment_windows(rec, window_s=0)
-        with pytest.raises(ValueError):
-            segment_windows(rec, window_s=8.0, overlap_s=8.0)
 
 
 class TestLoadAnnotations:

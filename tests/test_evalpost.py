@@ -110,19 +110,6 @@ class TestSmoothMinpool:
         with pytest.raises(ConfigError):
             smooth_minpool([0, 1], 2)
 
-    def test_probability_domain_commutes_with_threshold(self):
-        rng = Rng(5).child("pool")
-        for _ in range(50):
-            probs = rng.uniform(size=int(rng.integers(1, 40)))
-            pooled = smooth_minpool(probs, 3, domain="probabilities")
-            via_probs = (pooled >= 0.5).astype(int)
-            via_labels = smooth_minpool((probs >= 0.5).astype(int), 3)
-            assert via_probs.tolist() == via_labels.tolist()
-
-    def test_unknown_domain(self):
-        with pytest.raises(ConfigError):
-            smooth_minpool([0.2], 3, domain="logits")
-
     def test_never_increases_positive_count(self):
         rng = Rng(5).child("erode")
         for _ in range(200):

@@ -3,6 +3,7 @@ central finite differences, graph release and ``no_grad``, and the
 checkpoint container format."""
 
 import weakref
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -22,9 +23,11 @@ from seizenet.nn import (
     kaiming_uniform,
     layer_norm,
     linear,
+    load_checkpoint,
     multi_head_attention,
     no_grad,
     parse_checkpoint,
+    save_checkpoint,
     softmax,
 )
 from seizenet.model import ModelConfig, forward_classifier, init_weights
@@ -524,6 +527,25 @@ class TestInitAndCheckpoint:
             parse_checkpoint(good[:4])
         with pytest.raises(CheckpointError, match="payload"):
             parse_checkpoint(good[:-8])
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.ones(4)}, {"run": 1})
+
+        def torn_write(self, data):
+            with open(self, "wb") as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, {"w": np.zeros(4)}, {"run": 2})
+        monkeypatch.undo()
+
+        params, config = load_checkpoint(path)
+        assert config == {"run": 1}
+        npt.assert_array_equal(params["w"], np.ones(4))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
     def test_config_hash_tracks_config_content(self):
         assert config_hash({"a": 1}) == config_hash({"a": 1})

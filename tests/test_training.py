@@ -10,11 +10,12 @@ import math
 import numpy as np
 import pytest
 
+from seizenet.eegio import Recording, SeizureInterval
 from seizenet.errors import ConfigError, ProtocolError, TrainError
 from seizenet.model import MaskSpec, ModelConfig
 from seizenet.objectives import ContrastiveSpec, SswceSpec
 from seizenet.optim import OptimSpec, ScheduleSpec
-from seizenet.preprocess import FilterSpec
+from seizenet.preprocess import FilterSpec, preprocess_recording_samples
 from seizenet.rand import Rng
 from seizenet.synthgen import CorpusSpec, generate_recording
 from seizenet.training import (
@@ -149,6 +150,82 @@ class TestPrepareRecordings:
             freqs = np.fft.rfftfreq(before.data.shape[-1], d=1 / 64)
             high = freqs >= 20.0
             assert pow_a[:, high].sum() < 0.3 * pow_b[:, high].sum()
+
+
+class TestColumnarStore:
+    """The column store against the per-window copies it replaced."""
+
+    @pytest.mark.parametrize("method", ["meanstd", "minmax", None])
+    def test_matches_per_window_reference(self, method):
+        recordings = [
+            generate_recording(CORPUS, s, r)
+            for s in range(CORPUS.subjects)
+            for r in range(CORPUS.records_per_subject)
+        ]
+        # seizures covering only the last sample before a window edge, only
+        # the first sample after one, and ending exactly on one
+        edges = [(127 / 64, 2.0), (4.0, 4.0 + 1 / 64), (9.0, 10.0)]
+        recordings.append(
+            Recording(
+                subject_id="s03",
+                record_id="s03_r00",
+                sample_rate_hz=64,
+                channels=["A", "B"],
+                samples=np.random.default_rng(0).normal(size=(2, 64 * 16)),
+                seizures=[SeizureInterval(a, b) for a, b in edges],
+            )
+        )
+        spec = FilterSpec(order=4, low_hz=0.5, high_hz=20.0, sample_rate_hz=64)
+        ds = prepare_recordings(
+            recordings, window_s=2.0, filter_spec=spec, normalization=method
+        )
+
+        T = 128
+        windows, labels, records = [], [], []
+        for rec in recordings:
+            samples = preprocess_recording_samples(rec.samples, spec)
+            spans = [
+                (int(np.floor(iv.start_s * 64)), int(np.ceil(iv.end_s * 64)))
+                for iv in rec.seizures
+            ]
+            for k in range(samples.shape[1] // T):
+                a, b = k * T, (k + 1) * T
+                window = samples[:, a:b].copy()
+                if method == "minmax":
+                    lo = window.min(axis=-1, keepdims=True)
+                    hi = window.max(axis=-1, keepdims=True)
+                    window = (window - lo) / (hi - lo + 1e-8)
+                elif method == "meanstd":
+                    mu = window.mean(axis=-1, keepdims=True)
+                    sd = window.std(axis=-1, keepdims=True)
+                    window = (window - mu) / (sd + 1e-8)
+                windows.append(window)
+                labels.append(int(any(max(a, s) < min(b, e) for s, e in spans)))
+                records.append(rec.record_id)
+
+        assert np.array_equal(ds.matrix(), np.stack(windows))
+        assert ds.matrix().flags.c_contiguous
+        assert np.array_equal(ds.labels(), labels)
+        assert ds.labels().dtype == np.int64 and 0 < sum(labels) < len(labels)
+        assert [w.record_id for w in ds] == records
+        assert ds.subject_ids() == ["s00", "s01", "s02", "s03"]
+        assert ds.subset(lambda w: w.subject_id == "s03").labels().tolist() == [
+            1, 0, 1, 0, 1, 0, 0, 0
+        ]
+
+    def test_matrix_is_the_store_and_subset_keeps_order(self, dataset):
+        X = dataset.matrix()
+        assert X is dataset.matrix()
+        assert X.flags.c_contiguous and not X.flags.writeable
+        assert all(np.shares_memory(w.data, X) for w in dataset.windows[:3])
+
+        wanted = {"s02_r01", "s00_r02"}
+        sub = dataset.subset(lambda w: w.record_id in wanted)
+        rows = [i for i, w in enumerate(dataset) if w.record_id in wanted]
+        assert np.array_equal(sub.matrix(), X[rows])
+        assert np.array_equal(sub.labels(), dataset.labels()[rows])
+        assert sub.record_ids() == ["s00_r02", "s02_r01"]
+        assert [w.index for w in sub] == [dataset.windows[i].index for i in rows]
 
 
 class TestPretraining:
