@@ -153,7 +153,14 @@ def load_experiment(
     seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
     out_dir = Path(out_override or raw.get("out_dir", "out"))
     corpus_dir = Path(raw.get("corpus_dir", "corpus"))
-    window_s = float(raw.get("window_s", 8.0))
+    try:
+        window_s = float(raw.get("window_s", 8.0))
+    except (TypeError, ValueError):
+        window_s = np.nan
+    if not window_s > 0:
+        raise ConfigError(
+            f"window_s must be a positive number, got {raw['window_s']!r}"
+        )
 
     try:
         model = ModelConfig.from_dict(raw.get("model", {}))

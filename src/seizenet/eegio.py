@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     AnnotationError,
     ChannelError,
+    ConfigError,
     ParseError,
     UnsupportedError,
 )
@@ -564,8 +565,9 @@ def windows_from_recordings(
 ) -> WindowedDataset:
     """Cut each recording as ``segment_windows`` does, windows in order.
 
-    Raises ChannelError when records disagree in channel count and
-    UnsupportedError when they disagree in sample rate.
+    Raises ChannelError when records disagree in channel count,
+    UnsupportedError when they disagree in sample rate, and ConfigError
+    when ``window_s`` is shorter than one sample.
     """
     if not recordings:
         raise ValueError("no recordings given")
@@ -586,7 +588,9 @@ def windows_from_recordings(
     fs = first.sample_rate_hz
     T = int(round(window_s * fs))
     if T < 1:
-        raise ValueError(f"window_s {window_s} is shorter than one sample")
+        raise ConfigError(
+            f"window_s {window_s} is shorter than one sample at {fs} Hz"
+        )
 
     counts = [rec.n_samples // T for rec in recordings]
     views, labels = [], []

@@ -30,6 +30,11 @@ from .nn.ops import (
 from .nn.tensor import Tensor, as_tensor, concat
 from .rand import Rng
 
+# Parameters are created, and window batches cast, in this dtype, so every
+# training and inference graph computes in it.  Gradient checks build their
+# own float64 graphs; checkpoints store float32 either way.
+COMPUTE_DTYPE = np.float32
+
 CONV_BLOCK_CHOICES = (3, 6)
 LAYER_CHOICES = (2, 4, 6, 8, 12)
 DEFAULT_STRIDES = {3: (3, 2, 2), 6: (3, 2, 2, 2, 2, 2)}
@@ -248,7 +253,10 @@ def _random_params(config: ModelConfig, rng: Rng) -> dict[str, Tensor]:
         )
         p[f"classifier.{i}.bias"] = np.zeros(dim_out)
 
-    return {name: Tensor(arr, requires_grad=True) for name, arr in p.items()}
+    return {
+        name: Tensor(arr.astype(COMPUTE_DTYPE), requires_grad=True)
+        for name, arr in p.items()
+    }
 
 
 def _layer_index(name: str) -> int | None:
@@ -285,7 +293,7 @@ def init_weights(
 
     for name, tensor in params.items():
         if name in src_params and src_params[name].shape == tensor.shape:
-            tensor.data = src_params[name].copy()
+            tensor.data = src_params[name].astype(COMPUTE_DTYPE)
 
     if policy == "load_duplicate":
         src_layers = src_config.get("transformer_layers", 0)
@@ -308,7 +316,7 @@ def init_weights(
                 raise CheckpointError(
                     f"cannot duplicate {src_name} into {name}: shape mismatch"
                 )
-            tensor.data = src_params[src_name].copy()
+            tensor.data = src_params[src_name].astype(COMPUTE_DTYPE)
     return params
 
 
@@ -343,8 +351,12 @@ def encode(
     rng: Rng | None = None,
     training: bool = False,
 ) -> Tensor:
-    """Conv stage: (C, T) or (N, C, T) -> (S, D) or (N, S, D)."""
-    x = as_tensor(window)
+    """Conv stage: (C, T) or (N, C, T) -> (S, D) or (N, S, D).
+
+    The window batch is cast to ``COMPUTE_DTYPE``; it is data, not a graph
+    node, so no gradient flows back into it.
+    """
+    x = Tensor(as_tensor(window).data.astype(COMPUTE_DTYPE, copy=False))
     if training and rng is None:
         raise ValueError("training-mode encode needs an rng")
     squeeze = x.ndim == 2
@@ -380,10 +392,11 @@ def encode(
 def prepend_special_token(seq: Tensor, value: float = -5.0) -> Tensor:
     """Insert a constant row at position 0 of (S, D) or (N, S, D)."""
     seq = as_tensor(seq)
+    dtype = seq.data.dtype
     if seq.ndim == 2:
-        row = Tensor(np.full((1, seq.shape[1]), value))
+        row = Tensor(np.full((1, seq.shape[1]), value, dtype=dtype))
         return concat([row, seq], axis=0)
-    rows = Tensor(np.full((seq.shape[0], 1, seq.shape[2]), value))
+    rows = Tensor(np.full((seq.shape[0], 1, seq.shape[2]), value, dtype=dtype))
     return concat([rows, seq], axis=1)
 
 

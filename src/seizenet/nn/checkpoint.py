@@ -1,9 +1,11 @@
 """Parameter checkpoint container.
 
 Layout: 8-byte magic, little-endian uint64 manifest length, UTF-8 JSON
-manifest (tensor names, shapes, byte offsets, config, config hash), then
-the arrays concatenated as little-endian float32.  Arrays are stored in
-sorted name order so identical parameter sets serialize byte-identically.
+manifest (tensor names, shapes, byte offsets, config, config hash, and
+the sha256 of the payload), then the arrays concatenated as little-endian
+float32.  Arrays are stored in sorted name order so identical parameter
+sets serialize byte-identically.  Loading checks both hashes and returns
+float32 arrays, so a float32 model round-trips exactly.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ def checkpoint_bytes(params: dict[str, Tensor | np.ndarray], config: dict) -> by
         {
             "config": config,
             "config_hash": config_hash(config),
+            "payload_sha256": hashlib.sha256(payload).hexdigest(),
             "tensors": tensors,
         },
         sort_keys=True,
@@ -70,7 +73,7 @@ def save_checkpoint(
 
 
 def parse_checkpoint(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
-    """Decode checkpoint bytes into (float64 arrays by name, config)."""
+    """Decode checkpoint bytes into (float32 arrays by name, config)."""
     if len(data) < len(MAGIC) + 8:
         raise CheckpointError(f"checkpoint truncated at {len(data)} bytes")
     if data[: len(MAGIC)] != MAGIC:
@@ -90,19 +93,20 @@ def parse_checkpoint(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointError("config hash does not match stored config")
 
     payload = data[payload_start:]
+    if manifest.get("payload_sha256") != hashlib.sha256(payload).hexdigest():
+        raise CheckpointError("payload sha256 does not match the manifest")
     params: dict[str, np.ndarray] = {}
     for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = entry["offset"] + 4 * count
-        if end > len(payload):
+        count = int(np.prod(entry["shape"], dtype=np.int64))
+        if entry["offset"] + 4 * count > len(payload):
             raise CheckpointError(
                 f"tensor {entry['name']!r} extends past end of payload"
             )
         arr = np.frombuffer(
             payload, dtype="<f4", count=count, offset=entry["offset"]
         )
-        params[entry["name"]] = arr.reshape(shape).astype(np.float64)
+        # astype copies: the arrays are writable and do not pin ``data``
+        params[entry["name"]] = arr.reshape(entry["shape"]).astype(np.float32)
     return params, config
 
 

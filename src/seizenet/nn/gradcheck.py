@@ -57,8 +57,12 @@ def grad_check(
     perturbed elementwise by ±step.  The closure must be deterministic
     (fix any rng before calling).  Returns per-input max absolute and
     relative errors; use ``report.passed(tolerance)`` to gate.
+
+    Central differences need double precision, so float32 inputs are
+    converted to float64 in place; the graph then computes in float64.
     """
     for t in inputs:
+        t.data = np.asarray(t.data, dtype=np.float64)
         t.requires_grad = True
         t.zero_grad()
 

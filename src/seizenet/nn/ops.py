@@ -7,6 +7,8 @@ Unbatched inputs are accepted everywhere and returned unbatched.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
@@ -15,8 +17,9 @@ from ..errors import ConfigError, ShapeError
 from ..rand import Rng
 from .tensor import Tensor
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, so a float32 operand stays float32 (np.float64 would upcast)
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -65,7 +68,7 @@ def dropout(x: Tensor, p: float, rng: Rng | None, training: bool) -> Tensor:
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    mask = (rng.uniform(size=x.shape) >= p) / (1.0 - p)
+    mask = (rng.uniform(size=x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
 
     def backward(g):
         x.accumulate_grad(g * mask)
@@ -148,9 +151,9 @@ def conv1d(
             )
             gwin = gwin.reshape(n, c_in, l_out, k)
             gxp = np.zeros_like(xp)
-            starts = np.arange(l_out) * stride
-            for kk in range(k):  # indices unique per kk, so += is safe
-                gxp[:, :, starts + kk] += gwin[:, :, :, kk]
+            span = stride * (l_out - 1) + 1
+            for kk in range(k):  # tap kk of window j reads sample j*stride + kk
+                gxp[:, :, kk : kk + span : stride] += gwin[:, :, :, kk]
             gx = gxp[:, :, padding : padding + length] if padding else gxp
             xb.accumulate_grad(gx)
 
@@ -242,10 +245,12 @@ def multi_head_attention(
     def split(t: Tensor) -> Tensor:
         return t.reshape(n, s, heads, dh).transpose(0, 2, 1, 3)
 
-    q = split(xb @ wq)
+    # scaling q (N, H, S, dh) rather than the (N, H, S, S) scores keeps one
+    # score matrix per layer on the tape instead of two
+    q = split(xb @ wq) * (1.0 / math.sqrt(dh))
     k = split(xb @ wk)
     v = split(xb @ wv)
-    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
+    scores = q @ k.transpose(0, 1, 3, 2)
     attn = softmax(scores, axis=-1)
     ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(n, s, d)
     out = ctx @ wo

@@ -2,8 +2,10 @@
 
 Every operation records an explicit backward rule on a tape; there is no
 general autodiff fallback, so the op set below is the whole differentiable
-vocabulary.  Arrays are float64 throughout: finite-difference validation
-needs double precision, and desk-scale training is cheap enough to keep it.
+vocabulary.  A tensor keeps the dtype of a float32 or float64 array and
+stores anything else as float64; every op computes in its operands' dtype,
+so a float32 graph stays float32 and a float64 graph (what finite-difference
+validation needs) stays float64.  The model picks its compute dtype.
 
 ``backward`` releases the graph as it walks it: once a node's rule has run,
 its gradient, parents and closure are dropped, so one graph supports one
@@ -61,7 +63,10 @@ class Tensor:
     )
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        if data.dtype != np.float32:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -139,7 +144,7 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
 
-        self.accumulate_grad(np.asarray(grad, dtype=np.float64))
+        self.accumulate_grad(np.asarray(grad, dtype=self.data.dtype))
         while order:
             node = order.pop()
             if node._backward is not None and node.grad is not None:
@@ -153,7 +158,12 @@ class Tensor:
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(other)
+        if isinstance(other, Tensor):
+            return other
+        if isinstance(other, (int, float)):
+            # a Python scalar takes this tensor's dtype, as NEP 50 would
+            return Tensor(np.asarray(other, dtype=self.data.dtype))
+        return Tensor(other)
 
     def __add__(self, other):
         other = self._coerce(other)

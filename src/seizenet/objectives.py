@@ -165,7 +165,7 @@ def sswce_loss(probs: Tensor, labels: np.ndarray, spec: SswceSpec) -> Tensor:
         picked = probs[idx, np.full(idx.size, cls)]
         terms.append(weight * -(picked.clip_min(PROB_FLOOR).log().mean()))
     if not terms:
-        return Tensor(np.array(0.0))
+        return Tensor(np.zeros((), dtype=probs.data.dtype))
     total = terms[0]
     for term in terms[1:]:
         total = total + term

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as spsignal
 
 from .errors import ConfigError, DesignError, SignalError
 
@@ -42,7 +41,11 @@ def design_butterworth_bandpass(spec: FilterSpec = FilterSpec()) -> np.ndarray:
     Returns an (n_sections, 6) array of [b0 b1 b2 a0 a1 a2] rows with a0=1.
     Raises DesignError if any pole lies on or outside the unit circle.
     """
-    sos = spsignal.butter(
+    # scipy.signal is imported on use: it is the slowest import in the
+    # package, and the stages that never filter should not pay for it
+    from scipy import signal
+
+    sos = signal.butter(
         spec.order,
         [spec.low_hz, spec.high_hz],
         btype="bandpass",
@@ -97,7 +100,9 @@ def apply_filter(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise SignalError("cannot filter an empty signal")
     if not np.all(np.isfinite(x)):
         raise SignalError("signal contains non-finite samples")
-    return spsignal.sosfilt(sos, x, axis=-1)
+    from scipy import signal
+
+    return signal.sosfilt(sos, x, axis=-1)
 
 
 NORMALIZATION_METHODS = ("minmax", "meanstd")

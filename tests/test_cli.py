@@ -192,6 +192,20 @@ class TestSecondPretrain:
         )
         assert main(["second-pretrain", "--config", str(cfg)]) == 2
 
+    def test_corrupt_pretrain_checkpoint_is_config_error(
+        self, workdir, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        blob = bytearray((workdir["out_dir"] / "pretrain.ckpt").read_bytes())
+        blob[-1] ^= 0x01
+        (out / "pretrain.ckpt").write_bytes(bytes(blob))
+        cfg = write_json(
+            tmp_path / "exp.json", experiment_dict(workdir["corpus_dir"], out)
+        )
+        assert main(["second-pretrain", "--config", str(cfg)]) == 2
+        assert "sha256" in capsys.readouterr().err
+
     def test_random_init_skips_checkpoint(self, workdir, tmp_path):
         cfg = write_json(
             tmp_path / "exp.json",
@@ -366,6 +380,23 @@ class TestConfigErrors:
         assert main(["pretrain", "--config", str(cfg)]) == 2
         assert "preprocess.filter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window_s", [0, -2.0, "eight", None])
+    def test_window_that_is_not_a_positive_number_is_config_error(
+        self, workdir, tmp_path, capsys, window_s
+    ):
+        exp = experiment_dict(workdir["corpus_dir"], tmp_path, window_s=window_s)
+        cfg = write_json(tmp_path / "exp.json", exp)
+        assert main(["pretrain", "--config", str(cfg), "--dry-run"]) == 2
+        assert "window_s must be a positive number" in capsys.readouterr().err
+
+    def test_window_shorter_than_one_sample_is_config_error(
+        self, workdir, tmp_path, capsys
+    ):
+        exp = experiment_dict(workdir["corpus_dir"], tmp_path, window_s=0.001)
+        cfg = write_json(tmp_path / "exp.json", exp)
+        assert main(["pretrain", "--config", str(cfg), "--dry-run"]) == 2
+        assert "shorter than one sample at 64 Hz" in capsys.readouterr().err
+
     def test_jobs_must_be_positive(self, workdir):
         assert (
             main(
@@ -486,3 +517,18 @@ def test_console_entry_point(workdir):
     assert proc.returncode == 0
     for name in ("synth", "pretrain", "second-pretrain", "loocv", "eval"):
         assert name in proc.stdout
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is the slowest import; only the filtering stages load it
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, seizenet.cli; print('scipy.signal' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -11,6 +11,7 @@ import pytest
 
 from seizenet.errors import CheckpointError, ConfigError, ShapeError
 from seizenet.model import (
+    COMPUTE_DTYPE,
     MaskSpec,
     ModelConfig,
     apply_mask,
@@ -28,6 +29,13 @@ from seizenet.model import (
 )
 from seizenet.nn import Tensor, conv1d, gelu, grad_check
 from seizenet.nn.checkpoint import checkpoint_bytes, parse_checkpoint
+from seizenet.objectives import (
+    ContrastiveSpec,
+    SswceSpec,
+    contrastive_loss,
+    sswce_loss,
+)
+from seizenet.optim import AdamState, OptimSpec, adam_step
 from seizenet.rand import Rng
 
 
@@ -386,3 +394,89 @@ class TestFreezePolicies:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError):
             set_trainable(tiny_params(), "freeze_everything")
+
+
+def _tape_dtypes(root: Tensor) -> list[tuple[np.dtype, bool]]:
+    """(dtype, is an op result) for every node of an unreleased graph."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            found.append((node.data.dtype, bool(node._parents)))
+            stack.extend(node._parents)
+    return found
+
+
+class TestComputeDtype:
+    """Training and inference compute in float32; float64 graphs stay float64."""
+
+    def _steps(self, params, rng, monkeypatch):
+        """One contrastive and one classifier step, each with an Adam step.
+
+        Returns the tape dtypes of both losses (read before backward), the
+        dtypes of every gradient a backward rule passed on, and the Adam
+        state.
+        """
+        grads = set()
+        accumulate = Tensor.accumulate_grad
+
+        def recording(tensor, g):
+            grads.add(np.asarray(g).dtype)
+            accumulate(tensor, g)
+
+        monkeypatch.setattr(Tensor, "accumulate_grad", recording)
+        config = tiny_config()
+        windows = rng.normal(size=(4, 2, 72))  # float64, like WindowedDataset.X
+        ctx, targets, masked = forward_pretrain(
+            config, params, windows, MaskSpec(0.3, 2), rng.child("m")
+        )
+        loss = contrastive_loss(
+            ctx, targets, masked, ContrastiveSpec(3), rng.child("d")
+        )[0]
+        tape = _tape_dtypes(loss)
+        loss.backward()
+        state = AdamState()
+        adam_step(params, state, OptimSpec(lr=1e-3))
+
+        probs = forward_classifier(
+            config, params, windows, rng=rng.child("c"), training=True
+        )
+        loss = sswce_loss(probs, np.array([0, 1, 0, 1]), SswceSpec())
+        tape += _tape_dtypes(loss)
+        for t in params.values():
+            t.zero_grad()
+        loss.backward()
+        adam_step(params, state, OptimSpec(lr=1e-3))
+        return tape, grads, state
+
+    @pytest.mark.parametrize("policy", ["random", "load_shared"])
+    def test_model_graphs_params_and_moments_are_float32(
+        self, policy, monkeypatch
+    ):
+        assert COMPUTE_DTYPE == np.float32
+        source = TestInitPolicies()._checkpointed(layers=2, seed=40)
+        params = init_weights(
+            tiny_config(), policy, Rng(41).child("init"), source=source
+        )
+        tape, grads, state = self._steps(params, Rng(42), monkeypatch)
+        assert {dtype for dtype, _ in tape} == {np.dtype(np.float32)}
+        assert grads == {np.dtype(np.float32)}
+        for name, t in params.items():
+            assert t.data.dtype == np.float32, name
+            assert t.grad is None or t.grad.dtype == np.float32, name
+            assert state.m[name].dtype == state.v[name].dtype == np.float32
+
+    def test_float64_parameters_keep_float64_graphs(self, monkeypatch):
+        params = tiny_params(seed=43)
+        for t in params.values():
+            t.data = t.data.astype(np.float64)
+        tape, grads, state = self._steps(params, Rng(44), monkeypatch)
+        # the window batch itself is cast to COMPUTE_DTYPE; every op result
+        # after it follows the float64 parameters
+        assert {dtype for dtype, op in tape if op} == {np.dtype(np.float64)}
+        assert grads == {np.dtype(np.float64)}
+        for name, t in params.items():
+            assert t.data.dtype == np.float64, name
+            assert t.grad is None or t.grad.dtype == np.float64, name
+            assert state.m[name].dtype == state.v[name].dtype == np.float64

@@ -284,6 +284,36 @@ class TestConv1d:
             single = conv1d(Tensor(xb[i]), w, stride=2)
             npt.assert_allclose(batched.data[i], single.data, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "k, stride, padding, groups",
+        [(2, 3, 0, 1), (3, 3, 0, 1), (5, 2, 0, 1), (3, 2, 1, 2), (5, 1, 2, 4)],
+    )
+    def test_input_gradient_matches_the_fancy_index_scatter(
+        self, k, stride, padding, groups
+    ):
+        # the strided-slice scatter in conv1d's backward against the
+        # fancy-index scatter it replaced, fed the same window gradients
+        rng = Rng(11).child("c", k, stride)
+        n, c_in, length, c_out = 2, 4, 17, 8
+        x = Tensor(rng.normal(size=(n, c_in, length)), requires_grad=True)
+        w = Tensor(rng.normal(size=(c_out, c_in // groups, k)))
+        y = conv1d(x, w, None, stride, padding, groups)
+        gy = rng.normal(size=y.shape)
+        y.backward(gy)
+
+        g, l_out = groups, gy.shape[2]
+        gy_mat = np.ascontiguousarray(
+            gy.reshape(n, g, c_out // g, l_out).transpose(1, 0, 3, 2)
+        ).reshape(g, n * l_out, c_out // g)
+        gcols = gy_mat @ w.data.reshape(g, c_out // g, (c_in // g) * k)
+        gwin = gcols.reshape(g, n, l_out, c_in // g, k).transpose(1, 0, 3, 2, 4)
+        gwin = gwin.reshape(n, c_in, l_out, k)
+        gxp = np.zeros((n, c_in, length + 2 * padding))
+        starts = np.arange(l_out) * stride
+        for kk in range(k):
+            gxp[:, :, starts + kk] += gwin[:, :, :, kk]
+        assert np.array_equal(x.grad, gxp[:, :, padding : padding + length])
+
 
 class TestGroupNorm:
     def test_constant_input_maps_to_zeros(self):
@@ -513,6 +543,8 @@ class TestInitAndCheckpoint:
             npt.assert_array_equal(
                 loaded[name], t.data.astype(np.float32).astype(np.float64)
             )
+            assert loaded[name].dtype == np.float32
+            assert loaded[name].flags.writeable
 
     def test_serialization_ignores_dict_insertion_order(self):
         a = {"x": np.ones(3), "y": np.zeros(2)}
@@ -527,6 +559,12 @@ class TestInitAndCheckpoint:
             parse_checkpoint(good[:4])
         with pytest.raises(CheckpointError, match="payload"):
             parse_checkpoint(good[:-8])
+
+    def test_flipped_payload_byte_rejected(self):
+        blob = bytearray(checkpoint_bytes({"w": np.arange(4.0)}, {"d": 1}))
+        blob[-3] ^= 0x01  # inside the last float32, not the manifest
+        with pytest.raises(CheckpointError, match="sha256"):
+            parse_checkpoint(bytes(blob))
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"
