@@ -17,37 +17,31 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .eegio import load_corpus
 from .errors import (
-    AnnotationError,
-    ChannelError,
-    CheckpointError,
     ConfigError,
-    DesignError,
-    MetricError,
     NumericsError,
-    ParseError,
     ProtocolError,
     SamplerError,
-    ShapeError,
-    SignalError,
-    SpecError,
+    SeizenetError,
     TrainError,
-    UnsupportedError,
 )
 from .evalpost import (
+    POSTPROCESS_METHODS,
     EventScore,
     PredictionTrack,
+    _check_window,
     aggregate,
     postprocess_labels,
     score_track,
     truth_events_from_intervals,
 )
-from .model import MaskSpec, ModelConfig
+from .model import FREEZE_POLICIES, INIT_POLICIES, MaskSpec, ModelConfig
 from .nn.checkpoint import config_hash, load_checkpoint, save_checkpoint, write_atomic
 from .objectives import ContrastiveSpec, SswceSpec
 from .optim import OptimSpec, ScheduleSpec
@@ -65,23 +59,10 @@ from .training import (
     run_second_pretraining,
 )
 
-CONFIG_FAILURES = (
-    ConfigError,
-    SpecError,
-    DesignError,
-    CheckpointError,
-    ParseError,
-    UnsupportedError,
-    ChannelError,
-    AnnotationError,
-    MetricError,
-    ShapeError,
-    SignalError,
-    OSError,
-    json.JSONDecodeError,
-)
 PROTOCOL_FAILURES = (ProtocolError, SamplerError)
 NUMERIC_FAILURES = (NumericsError, TrainError)
+# caught after the two above, so every other SeizenetError exits 2
+CONFIG_FAILURES = (SeizenetError, OSError, json.JSONDecodeError)
 
 _EXPERIMENT_KEYS = {
     "corpus_dir",
@@ -150,7 +131,11 @@ def load_experiment(
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
-    seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
+    seed = seed_override if seed_override is not None else raw.get("seed", 0)
+    try:
+        seed = int(seed)
+    except (TypeError, ValueError):
+        raise ConfigError(f"seed must be an integer, got {seed!r}") from None
     out_dir = Path(out_override or raw.get("out_dir", "out"))
     corpus_dir = Path(raw.get("corpus_dir", "corpus"))
     try:
@@ -177,7 +162,11 @@ def load_experiment(
     train = _build_section(TrainSpec, raw.get("train", {}), "train")
 
     freeze_policy = raw.get("freeze_policy", "none")
+    if freeze_policy not in FREEZE_POLICIES:
+        raise ConfigError(f"freeze_policy must be one of {FREEZE_POLICIES}")
     init_policy = raw.get("init_policy", "load_shared")
+    if init_policy not in INIT_POLICIES:
+        raise ConfigError(f"init_policy must be one of {INIT_POLICIES}")
 
     preprocess = dict(raw.get("preprocess", {}))
     unknown = sorted(set(preprocess) - {"filter", "normalization"})
@@ -198,12 +187,21 @@ def load_experiment(
     unknown = sorted(set(postprocess) - {"methods", "widths"})
     if unknown:
         raise ConfigError(f"unknown postprocess keys: {', '.join(unknown)}")
-    methods = list(
-        postprocess.get(
-            "methods", ["none", "majority", "minpool", "majority+minpool"]
+    methods = list(postprocess.get("methods", POSTPROCESS_METHODS))
+    unknown = [m for m in methods if m not in POSTPROCESS_METHODS]
+    if unknown:
+        raise ConfigError(
+            f"unknown postprocess methods {unknown}; "
+            f"choose from {POSTPROCESS_METHODS}"
         )
-    )
-    widths = [int(w) for w in postprocess.get("widths", [3, 5, 7])]
+    try:
+        widths = [int(w) for w in postprocess.get("widths", [3, 5, 7])]
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"postprocess widths must be integers, got {postprocess['widths']!r}"
+        ) from None
+    for w in widths:
+        _check_window(w)
 
     resolved = {
         "seed": seed,
@@ -468,24 +466,24 @@ def cmd_second_pretrain(args) -> int:
     return 0
 
 
-def _fold_task(task: dict) -> dict:
+def _fold_task(plan: FoldPlan, dataset, init, exp: Experiment) -> dict:
     """One fold, self-contained so it can run in a worker process."""
     result = run_fold(
-        task["plan"],
-        task["dataset"],
-        task["model"],
-        Rng(task["seed"], ("fold", task["plan"].subject_id, task["plan"].test_record)),
-        init=task["init"],
-        init_policy=task["init_policy"],
-        freeze_policy=task["freeze_policy"],
-        sswce_spec=task["sswce"],
-        sampler_spec=task["sampler"],
-        optim_spec=task["optim"],
-        schedule_spec=task["schedule"],
-        train_spec=task["train"],
+        plan,
+        dataset,
+        exp.model,
+        Rng(exp.seed, ("fold", plan.subject_id, plan.test_record)),
+        init=init,
+        init_policy=exp.init_policy,
+        freeze_policy=exp.freeze_policy,
+        sswce_spec=exp.sswce,
+        sampler_spec=exp.sampler,
+        optim_spec=exp.optim,
+        schedule_spec=exp.schedule,
+        train_spec=exp.train,
     )
     return {
-        "plan": task["plan"],
+        "plan": plan,
         "probs": result.probs,
         "test_labels": result.test_labels,
         "train": _train_summary(result.train),
@@ -543,28 +541,17 @@ def cmd_loocv(args) -> int:
     }
     sample_rate_hz = dataset.sample_rate_hz
     del recordings, dataset
-    tasks = [
-        {
-            "plan": plan,
-            "dataset": by_subject[plan.subject_id],
-            "model": exp.model,
-            "seed": exp.seed,
-            "init": init_by_subject[plan.subject_id],
-            "init_policy": exp.init_policy,
-            "freeze_policy": exp.freeze_policy,
-            "sswce": exp.sswce,
-            "sampler": exp.sampler,
-            "optim": exp.optim,
-            "schedule": exp.schedule,
-            "train": exp.train,
-        }
-        for plan in plans
-    ]
+    tasks = (
+        plans,
+        [by_subject[plan.subject_id] for plan in plans],
+        [init_by_subject[plan.subject_id] for plan in plans],
+        repeat(exp),
+    )
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_fold_task, tasks))
+            outcomes = list(pool.map(_fold_task, *tasks))
     else:
-        outcomes = [_fold_task(task) for task in tasks]
+        outcomes = list(map(_fold_task, *tasks))
 
     scores_by_subject: dict[str, list[EventScore]] = {}
     for outcome in outcomes:
@@ -727,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--method",
-        choices=["none", "majority", "minpool", "majority+minpool"],
+        choices=POSTPROCESS_METHODS,
         default=None,
         help="evaluate a single post-processing method",
     )

@@ -190,13 +190,23 @@ def smote(
     x = np.asarray(x, dtype=np.float64)
     if len(x) != len(y):
         raise ValueError(f"{len(x)} samples vs {len(y)} labels")
+    synth, synth_y = _smote_samples(x, np.arange(len(y)), y, k, rng)
+    return np.concatenate([x, synth]), np.concatenate([y, synth_y])
+
+
+def _smote_samples(
+    X: np.ndarray, rows: np.ndarray, y: np.ndarray, k: int, rng: Rng
+) -> tuple[np.ndarray, np.ndarray]:
+    """The synthetic samples and labels ``smote`` appends to ``X[rows]``.
+
+    ``y`` labels ``rows``; only the minority rows of ``X`` are read.
+    """
     classes, counts = np.unique(y, return_counts=True)
     if len(classes) != 2:
         raise SamplerError(
             f"smote needs exactly two classes, found {classes.tolist()}"
         )
     minority_cls = classes[np.argmin(counts)]
-    minority_idx = np.flatnonzero(y == minority_cls)
     n_min, n_maj = counts.min(), counts.max()
     if n_min < k + 1:
         raise SamplerError(
@@ -204,9 +214,9 @@ def smote(
         )
     needed = int(n_maj - n_min)
     if needed == 0:
-        return x.copy(), y.copy()
+        return np.empty((0,) + X.shape[1:]), np.empty(0, dtype=np.int64)
 
-    flat = x[minority_idx].reshape(n_min, -1)
+    flat = X[rows[y == minority_cls]].reshape(n_min, -1)
     # pairwise distances; argsort column 0 is each point itself
     sq = (flat**2).sum(axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (flat @ flat.T)
@@ -218,8 +228,5 @@ def smote(
     u = rng.uniform(size=needed)
     chosen = neighbors[base, pick]
     synth_flat = flat[base] + u[:, None] * (flat[chosen] - flat[base])
-    synth = synth_flat.reshape((needed,) + x.shape[1:])
-
-    x_aug = np.concatenate([x, synth], axis=0)
-    y_aug = np.concatenate([y, np.full(needed, minority_cls, dtype=np.int64)])
-    return x_aug, y_aug
+    synth = synth_flat.reshape((needed,) + X.shape[1:])
+    return synth, np.full(needed, minority_cls, dtype=np.int64)

@@ -40,8 +40,8 @@ from .optim import (
     OptimSpec,
     PlateauEarlyStopper,
     ScheduleSpec,
+    _smote_samples,
     adam_step,
-    smote,
     weighted_sampler,
     zero_grads,
 )
@@ -114,10 +114,7 @@ class FoldResult:
 
 def checkpoint_source(result: TrainResult) -> tuple[dict[str, np.ndarray], dict]:
     """Adapt a stage's result into the (params, config) init source format."""
-    return (
-        {name: t.data.copy() for name, t in result.params.items()},
-        result.config.to_dict(),
-    )
+    return _snapshot(result.params), result.config.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +165,108 @@ def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     return {name: t.data.copy() for name, t in params.items()}
 
 
-def _restore(params: dict[str, Tensor], snap: dict[str, np.ndarray]) -> None:
-    for name, data in snap.items():
-        params[name].data[...] = data
-
-
-def _epoch_batches(n: int, batch_size: int, rng: Rng):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
-
-
 def _check_finite(value: float, stage: str, epoch: int) -> None:
     if not math.isfinite(value):
         raise TrainError(f"{stage} loss diverged to {value}", epoch=epoch)
+
+
+def _fit(
+    config: ModelConfig,
+    params: dict[str, Tensor],
+    X: np.ndarray,
+    y: np.ndarray | None,
+    rows: np.ndarray,
+    step_loss,
+    validate,
+    rng: Rng,
+    sampler_spec: SamplerSpec,
+    optim_spec: OptimSpec,
+    schedule_spec: ScheduleSpec,
+    train_spec: TrainSpec,
+    stage: str,
+    epoch_callback=None,
+) -> TrainResult:
+    """The epoch loop every stage trains through.
+
+    Trains on the windows ``X[rows]`` (labels ``y[rows]``, or None) and
+    gathers only each batch.  ``step_loss(windows, labels, rng)`` returns
+    a batch's loss tensor and ``validate(epoch_rng)`` the epoch's
+    validation loss.  The learning rate decays on plateaus, training
+    stops early, and the best-validation parameters are restored.
+    Oversampling, if any, draws from the training rows only.
+    """
+    result = TrainResult(params=params, config=config, final_lr=optim_spec.lr)
+    if train_spec.max_epochs == 0:
+        return result
+
+    labels = None if y is None else y[rows]
+    synth = None
+    if sampler_spec.kind == "smote":
+        synth, synth_y = _smote_samples(
+            X, rows, labels, sampler_spec.smote_k, rng.child("smote")
+        )
+        labels = np.concatenate([labels, synth_y])
+    n = rows.size if synth is None else rows.size + len(synth)
+    index_stream = None
+    if sampler_spec.kind == "weighted":
+        index_stream = weighted_sampler(labels, rng.child("sampler"))
+    size = train_spec.batch_size
+    steps_per_epoch = max(1, math.ceil(n / size))
+
+    def batch(idx):
+        if synth is None:
+            return X[rows[idx]]
+        real = idx < rows.size
+        windows = np.empty((len(idx),) + X.shape[1:])
+        windows[real] = X[rows[idx[real]]]
+        windows[~real] = synth[idx[~real] - rows.size]
+        return windows
+
+    state = AdamState()
+    stopper = PlateauEarlyStopper(schedule_spec, optim_spec.lr)
+    best, best_val = None, np.inf
+    for epoch in range(train_spec.max_epochs):
+        erng = rng.child("epoch", epoch)
+        if index_stream is None:
+            order = erng.child("order").permutation(n)
+            batches = [order[start : start + size] for start in range(0, n, size)]
+        else:
+            batches = [
+                np.array([next(index_stream) for _ in range(size)])
+                for _ in range(steps_per_epoch)
+            ]
+        step_losses = []
+        for step, idx in enumerate(batches):
+            loss = step_loss(
+                batch(idx),
+                None if labels is None else labels[idx],
+                erng.child("step", step),
+            )
+            _check_finite(float(loss.data), stage, epoch)
+            zero_grads(params)
+            loss.backward()
+            adam_step(params, state, optim_spec, lr=stopper.lr)
+            step_losses.append(float(loss.data))
+
+        val_loss = validate(erng)
+        _check_finite(val_loss, f"{stage} validation", epoch)
+        result.train_losses.append(float(np.mean(step_losses)))
+        result.val_losses.append(val_loss)
+        if val_loss < best_val:
+            best_val = val_loss
+            result.best_epoch = epoch
+            best = _snapshot(params)
+        if epoch_callback is not None:
+            epoch_callback(epoch, params)
+        if stopper.observe(val_loss) == "stop":
+            result.stopped_early = True
+            break
+
+    if best is not None:
+        for name, data in best.items():
+            params[name].data[...] = data
+    result.final_lr = stopper.lr
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -250,32 +335,18 @@ def run_pretraining(
         raise ConfigError("validation split consumed every window")
 
     params = init_weights(config, "random", rng.child("init"))
-    state = AdamState()
-    stopper = PlateauEarlyStopper(schedule_spec, optim_spec.lr)
-    result = TrainResult(params=params, config=config)
-    best = _snapshot(params)
-    best_val = np.inf
     gaps = []
 
-    for epoch in range(train_spec.max_epochs):
-        erng = rng.child("epoch", epoch)
-        step_losses = []
-        for step, idx in enumerate(
-            _epoch_batches(train_idx.size, train_spec.batch_size, erng.child("order"))
-        ):
-            srng = erng.child("step", step)
-            ctx, targets, masked = forward_pretrain(
-                config, params, X[train_idx[idx]], mask_spec, srng, training=True
-            )
-            loss, _ = contrastive_loss(
-                ctx, targets, masked, contrastive_spec, srng.child("distractors")
-            )
-            _check_finite(float(loss.data), "pretraining", epoch)
-            zero_grads(params)
-            loss.backward()
-            adam_step(params, state, optim_spec, lr=stopper.lr)
-            step_losses.append(float(loss.data))
+    def step_loss(batch, labels, srng):
+        ctx, targets, masked = forward_pretrain(
+            config, params, batch, mask_spec, srng, training=True
+        )
+        loss, _ = contrastive_loss(
+            ctx, targets, masked, contrastive_spec, srng.child("distractors")
+        )
+        return loss
 
+    def validate(erng):
         val = contrastive_alignment(
             config,
             params,
@@ -285,21 +356,24 @@ def run_pretraining(
             erng.child("val"),
             train_spec.batch_size,
         )
-        _check_finite(val["loss"], "pretraining validation", epoch)
-        result.train_losses.append(float(np.mean(step_losses)))
-        result.val_losses.append(val["loss"])
         gaps.append(val["alignment_gap"])
-        if val["loss"] < best_val:
-            best_val = val["loss"]
-            result.best_epoch = epoch
-            best = _snapshot(params)
-        if stopper.observe(val["loss"]) == "stop":
-            result.stopped_early = True
-            break
+        return val["loss"]
 
-    if result.best_epoch >= 0:
-        _restore(params, best)
-    result.final_lr = stopper.lr
+    result = _fit(
+        config,
+        params,
+        X,
+        None,
+        train_idx,
+        step_loss,
+        validate,
+        rng,
+        SamplerSpec(kind="none"),
+        optim_spec,
+        schedule_spec,
+        train_spec,
+        stage="pretraining",
+    )
     result.info = {
         "val_alignment_gaps": gaps,
         "final_alignment_gap": gaps[-1] if gaps else None,
@@ -330,100 +404,18 @@ def _predict_probs(
     return np.concatenate(chunks, axis=0)
 
 
-def _sswce_eval(
-    config: ModelConfig,
-    params: dict[str, Tensor],
-    X: np.ndarray,
-    y: np.ndarray,
-    spec: SswceSpec,
-    batch_size: int,
-) -> float:
-    probs = _predict_probs(config, params, X, batch_size)
-    return float(sswce_loss(Tensor(probs), y, spec).data)
+def _sswce_closures(config, params, dataset, val_rows, sswce_spec, batch_size):
+    """The SSWCE step loss and validation that stages 2 and 3 train with."""
 
+    def step_loss(batch, labels, srng):
+        probs = forward_classifier(config, params, batch, rng=srng, training=True)
+        return sswce_loss(probs, labels, sswce_spec)
 
-def _supervised_fit(
-    config: ModelConfig,
-    params: dict[str, Tensor],
-    X_train: np.ndarray,
-    y_train: np.ndarray,
-    X_val: np.ndarray,
-    y_val: np.ndarray,
-    rng: Rng,
-    sswce_spec: SswceSpec,
-    sampler_spec: SamplerSpec,
-    optim_spec: OptimSpec,
-    schedule_spec: ScheduleSpec,
-    train_spec: TrainSpec,
-    stage: str,
-    epoch_callback=None,
-) -> TrainResult:
-    """SSWCE training loop with oversampling on the training split only."""
-    result = TrainResult(params=params, config=config)
-    if train_spec.max_epochs == 0:
-        result.final_lr = optim_spec.lr
-        return result
+    def validate(erng):
+        probs = _predict_probs(config, params, dataset.X[val_rows], batch_size)
+        return float(sswce_loss(Tensor(probs), dataset.y[val_rows], sswce_spec).data)
 
-    if sampler_spec.kind == "smote":
-        X_train, y_train = smote(
-            X_train, y_train, sampler_spec.smote_k, rng.child("smote")
-        )
-    index_stream = None
-    if sampler_spec.kind == "weighted":
-        index_stream = weighted_sampler(y_train, rng.child("sampler"))
-    steps_per_epoch = max(1, math.ceil(len(X_train) / train_spec.batch_size))
-
-    state = AdamState()
-    stopper = PlateauEarlyStopper(schedule_spec, optim_spec.lr)
-    best = _snapshot(params)
-    best_val = np.inf
-
-    for epoch in range(train_spec.max_epochs):
-        erng = rng.child("epoch", epoch)
-        if index_stream is None:
-            batches = list(
-                _epoch_batches(len(X_train), train_spec.batch_size, erng.child("order"))
-            )
-        else:
-            batches = [
-                np.array(
-                    [next(index_stream) for _ in range(train_spec.batch_size)]
-                )
-                for _ in range(steps_per_epoch)
-            ]
-        step_losses = []
-        for step, idx in enumerate(batches):
-            srng = erng.child("step", step)
-            probs = forward_classifier(
-                config, params, X_train[idx], rng=srng, training=True
-            )
-            loss = sswce_loss(probs, y_train[idx], sswce_spec)
-            _check_finite(float(loss.data), stage, epoch)
-            zero_grads(params)
-            loss.backward()
-            adam_step(params, state, optim_spec, lr=stopper.lr)
-            step_losses.append(float(loss.data))
-
-        val_loss = _sswce_eval(
-            config, params, X_val, y_val, sswce_spec, train_spec.batch_size
-        )
-        _check_finite(val_loss, f"{stage} validation", epoch)
-        result.train_losses.append(float(np.mean(step_losses)))
-        result.val_losses.append(val_loss)
-        if val_loss < best_val:
-            best_val = val_loss
-            result.best_epoch = epoch
-            best = _snapshot(params)
-        if epoch_callback is not None:
-            epoch_callback(epoch, params)
-        if stopper.observe(val_loss) == "stop":
-            result.stopped_early = True
-            break
-
-    if result.best_epoch >= 0:
-        _restore(params, best)
-    result.final_lr = stopper.lr
-    return result
+    return step_loss, validate
 
 
 # ---------------------------------------------------------------------------
@@ -452,42 +444,43 @@ def run_second_pretraining(
     if len(subjects) < 2:
         raise ProtocolError("second pretraining needs at least 2 subjects")
 
-    pool = dataset.subset(lambda w: w.subject_id != target_subject)
-    if np.any(pool.subject == target_subject):
+    pool = np.flatnonzero(dataset.subject != target_subject)
+    if np.any(dataset.subject[pool] == target_subject):
         raise ProtocolError("target windows leaked into second pretraining")
 
-    X = pool.matrix()
-    y = pool.labels()
-    n = len(X)
+    n = pool.size
     if n < 2:
         raise ProtocolError("second pretraining needs at least 2 windows")
-    order = rng.child("split").permutation(n)
+    order = pool[rng.child("split").permutation(n)]
     n_val = max(1, int(round(train_spec.validation_fraction * n)))
-    val_idx, train_idx = order[:n_val], order[n_val:]
+    val_rows, train_rows = order[:n_val], order[n_val:]
 
     policy = init_policy if init is not None else "random"
     params = init_weights(config, policy, rng.child("init"), source=init)
-    result = _supervised_fit(
+    step_loss, validate = _sswce_closures(
+        config, params, dataset, val_rows, sswce_spec, train_spec.batch_size
+    )
+    result = _fit(
         config,
         params,
-        X[train_idx],
-        y[train_idx],
-        X[val_idx],
-        y[val_idx],
+        dataset.X,
+        dataset.y,
+        train_rows,
+        step_loss,
+        validate,
         rng.child("fit"),
-        sswce_spec,
         sampler_spec,
         optim_spec,
         schedule_spec,
         train_spec,
-        stage="second pretraining",
-        epoch_callback=epoch_callback,
+        "second pretraining",
+        epoch_callback,
     )
     result.info = {
         "target_subject": target_subject,
-        "train_subjects": sorted(pool.subject_ids()),
-        "train_window_count": int(train_idx.size),
-        "val_window_count": int(val_idx.size),
+        "train_subjects": [s for s in subjects if s != target_subject],
+        "train_window_count": int(train_rows.size),
+        "val_window_count": int(val_rows.size),
     }
     return result
 
@@ -549,17 +542,18 @@ def run_fold(
     if freeze_policy not in FREEZE_POLICIES:
         raise ConfigError(f"freeze_policy must be one of {FREEZE_POLICIES}")
 
-    def records_subset(names):
-        wanted = set(names)
-        return dataset.subset(lambda w: w.record_id in wanted)
-
-    train_ds = records_subset(plan.train_records)
-    val_ds = records_subset(plan.val_records)
-    test_ds = records_subset([plan.test_record])
-    for name, part in (("train", train_ds), ("val", val_ds), ("test", test_ds)):
-        if not len(part):
+    splits = {
+        name: np.flatnonzero(np.isin(dataset.record, records))
+        for name, records in (
+            ("train", plan.train_records),
+            ("val", plan.val_records),
+            ("test", [plan.test_record]),
+        )
+    }
+    for name, rows in splits.items():
+        if not rows.size:
             raise ProtocolError(f"fold {plan.test_record!r}: empty {name} split")
-        if np.any(part.subject != plan.subject_id):
+        if np.any(dataset.subject[rows] != plan.subject_id):
             raise ProtocolError(
                 f"fold {plan.test_record!r}: {name} split crosses subjects"
             )
@@ -567,27 +561,30 @@ def run_fold(
     policy = init_policy if init is not None else "random"
     params = init_weights(config, policy, rng.child("init"), source=init)
     set_trainable(params, freeze_policy)
-
-    train = _supervised_fit(
+    step_loss, validate = _sswce_closures(
+        config, params, dataset, splits["val"], sswce_spec, train_spec.batch_size
+    )
+    train = _fit(
         config,
         params,
-        train_ds.matrix(),
-        train_ds.labels(),
-        val_ds.matrix(),
-        val_ds.labels(),
+        dataset.X,
+        dataset.y,
+        splits["train"],
+        step_loss,
+        validate,
         rng.child("fit"),
-        sswce_spec,
         sampler_spec,
         optim_spec,
         schedule_spec,
         train_spec,
-        stage=f"fold {plan.test_record}",
-        epoch_callback=epoch_callback,
+        f"fold {plan.test_record}",
+        epoch_callback,
     )
-    probs = _predict_probs(config, params, test_ds.matrix(), train_spec.batch_size)
+    test = splits["test"]
+    probs = _predict_probs(config, params, dataset.X[test], train_spec.batch_size)
     return FoldResult(
         plan=plan,
         probs=probs[:, 1],
-        test_labels=test_ds.labels(),
+        test_labels=dataset.y[test],
         train=train,
     )

@@ -397,6 +397,27 @@ class TestConfigErrors:
         assert main(["pretrain", "--config", str(cfg), "--dry-run"]) == 2
         assert "shorter than one sample at 64 Hz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"seed": "one"}, "seed must be an integer"),
+            ({"seed": None}, "seed must be an integer"),
+            ({"postprocess": {"widths": ["x"]}}, "postprocess widths"),
+            ({"postprocess": {"widths": [4]}}, "odd and >= 1"),
+            ({"postprocess": {"widths": [0]}}, "odd and >= 1"),
+            ({"postprocess": {"methods": ["median"]}}, "postprocess methods"),
+            ({"freeze_policy": "freeze_all"}, "freeze_policy must be one of"),
+            ({"init_policy": "load_all"}, "init_policy must be one of"),
+        ],
+    )
+    def test_bad_value_is_config_error_at_load(
+        self, workdir, tmp_path, capsys, overrides, message
+    ):
+        exp = experiment_dict(workdir["corpus_dir"], tmp_path, **overrides)
+        cfg = write_json(tmp_path / "exp.json", exp)
+        assert main(["pretrain", "--config", str(cfg), "--dry-run"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_jobs_must_be_positive(self, workdir):
         assert (
             main(

@@ -6,6 +6,7 @@ exercising the real code paths.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,6 +320,23 @@ class TestSecondPretraining:
         )
         assert result.info["target_subject"] == "s00"
         assert result.info["train_subjects"] == ["s01", "s02"]
+
+    def test_copies_no_split(self, dataset):
+        # rows are picked by index; the pool is never gathered out of X
+        pool_bytes = dataset.X[dataset.subject != "s00"].nbytes
+        tracemalloc.start()
+        try:
+            run_second_pretraining(
+                dataset,
+                "s00",
+                tiny_config(),
+                Rng(1).child("second"),
+                **fast_specs(train_spec=TrainSpec(batch_size=8, max_epochs=0)),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pool_bytes
 
     def test_unknown_target_rejected(self, dataset):
         with pytest.raises(ProtocolError):
