@@ -1,0 +1,175 @@
+"""Microbenchmark of the GELU kernel, one train step and one eval forward.
+
+Run from anywhere; ``--src`` picks the seizenet source tree to time, so the
+same script measures a checkout and its parent side by side:
+
+    OPENBLAS_NUM_THREADS=1 python3 benchmarks/step.py --repeats 9 --out after.json
+    OPENBLAS_NUM_THREADS=1 python3 benchmarks/step.py --src ../parent/src \\
+        --repeats 9 --out before.json
+
+Cases, each run once untimed and then ``--repeats`` times in this process:
+
+- ``gelu.forward`` and ``gelu.backward``: ``nn.gelu`` on a (32, 64, 683)
+  float32 array, the activation of conv block 0 on ``cli-conv``;
+- ``<shape>.train_step``: ``zero_grads``, ``forward_classifier`` with
+  dropout, ``sswce_loss``, ``backward`` and ``adam_step``, the step that
+  second pretraining and every LOOCV fold take;
+- ``<shape>.eval_forward``: ``forward_classifier`` under ``no_grad``;
+
+at the model, window and batch shapes of the ``cli-conv`` and ``cli-attn``
+workloads, read from ``perfbench/workloads.py``: 20 channels x 2048
+samples, width 64, 4 transformer layers, with 6 conv blocks at batch 32
+and 3 conv blocks at batch 16.  Inputs are seeded normal draws, so every
+run times the same arithmetic.
+
+The output JSON gives, per case, the repeat count, the median and the
+quartiles in ms, and every sample; ``peak_rss_mb`` is this process's
+``ru_maxrss`` after the last case.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
+GELU_SHAPE = (32, 64, 683)
+
+
+def _gelu_case(sn, rng):
+    x_data = rng.normal(size=GELU_SHAPE).astype(np.float32)
+    g = rng.normal(size=GELU_SHAPE).astype(np.float32)
+
+    def run(_):
+        x = sn.nn.Tensor(x_data, requires_grad=True)
+        t0 = time.perf_counter()
+        out = sn.nn.gelu(x)
+        t1 = time.perf_counter()
+        out.backward(g)
+        t2 = time.perf_counter()
+        return {"gelu.forward": t1 - t0, "gelu.backward": t2 - t1}
+
+    return run
+
+
+def _model_cases(sn, rng, name):
+    workload = WORKLOADS[name]
+    config = sn.model.ModelConfig.from_dict(workload.experiment["model"])
+    params = sn.model.init_weights(config, "random", sn.rand.Rng(1).child("init"))
+    samples = int(workload.experiment["window_s"] * workload.corpus["sample_rate_hz"])
+    shape = (workload.batch_size, config.in_channels, samples)
+    windows = rng.normal(size=shape).astype(np.float32)
+    labels = np.arange(workload.batch_size) % 2
+    state = sn.optim.AdamState()
+    optim_spec = sn.optim.OptimSpec(lr=5e-4)
+    sswce_spec = sn.objectives.SswceSpec()
+
+    def train(i):
+        t0 = time.perf_counter()
+        sn.optim.zero_grads(params)
+        probs = sn.model.forward_classifier(
+            config, params, windows, rng=sn.rand.Rng(1).child("step", i), training=True
+        )
+        loss = sn.objectives.sswce_loss(probs, labels, sswce_spec)
+        loss.backward()
+        sn.optim.adam_step(params, state, optim_spec)
+        return {f"{name}.train_step": time.perf_counter() - t0}
+
+    def evaluate(_):
+        t0 = time.perf_counter()
+        with sn.nn.no_grad():
+            sn.model.forward_classifier(config, params, windows)
+        return {f"{name}.eval_forward": time.perf_counter() - t0}
+
+    return train, evaluate
+
+
+def _summary(samples_s: list[float]) -> dict:
+    ms = np.array(samples_s) * 1e3
+    q1, median, q3 = np.percentile(ms, [25, 50, 75])
+    return {
+        "unit": "ms",
+        "repeats": len(ms),
+        "median": round(float(median), 2),
+        "q1": round(float(q1), 2),
+        "q3": round(float(q3), 2),
+        "iqr": round(float(q3 - q1), 2),
+        "samples": [round(float(v), 2) for v in ms],
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--src",
+        type=Path,
+        default=ROOT / "src",
+        help="directory that holds the seizenet package (default: this checkout)",
+    )
+    parser.add_argument("--repeats", type=int, default=9)
+    parser.add_argument("--out", type=Path, default=None, help="JSON output path")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
+    if not (args.src / "seizenet" / "__init__.py").is_file():
+        parser.error(f"no seizenet package under {args.src}")
+
+    sys.path.insert(0, str(args.src.resolve()))
+    import seizenet.model
+    import seizenet.nn
+    import seizenet.objectives
+    import seizenet.optim
+    import seizenet.rand
+
+    sn = seizenet
+    rng = np.random.default_rng(0)
+    runs = [_gelu_case(sn, rng)]
+    for name in ("cli-conv", "cli-attn"):
+        runs.extend(_model_cases(sn, rng, name))
+
+    samples: dict[str, list[float]] = {}
+    for run in runs:
+        run(-1)  # warm-up: first-touch allocations and BLAS setup
+        for i in range(args.repeats):
+            for key, seconds in run(i).items():
+                samples.setdefault(key, []).append(seconds)
+            print(".", end="", file=sys.stderr, flush=True)
+    print(file=sys.stderr)
+
+    result = {
+        "src": str(Path(seizenet.__file__).resolve().parent),
+        "repeats": args.repeats,
+        "host": {
+            "cpus": os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        },
+        "cases": {key: _summary(vals) for key, vals in samples.items()},
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
+        ),
+    }
+    for key, case in result["cases"].items():
+        print(f"{key:24s} median {case['median']:9.2f} ms  IQR {case['iqr']:7.2f}")
+    print(f"peak RSS {result['peak_rss_mb']} MiB")
+    if args.out is not None:
+        args.out.write_text(json.dumps(result, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

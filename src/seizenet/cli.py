@@ -133,8 +133,10 @@ def load_experiment(
 
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
     try:
+        if isinstance(seed, float) and not seed.is_integer():
+            raise ValueError
         seed = int(seed)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"seed must be an integer, got {seed!r}") from None
     out_dir = Path(out_override or raw.get("out_dir", "out"))
     corpus_dir = Path(raw.get("corpus_dir", "corpus"))
@@ -610,6 +612,8 @@ def cmd_loocv(args) -> int:
 
 def cmd_eval(args) -> int:
     exp = load_experiment(args.config, args.seed, args.out)
+    if args.w is not None:
+        _check_window(args.w)
     pred_dir = exp.out_dir
     files = sorted(pred_dir.glob("fold_*.json"))
     if not files:
@@ -633,7 +637,7 @@ def cmd_eval(args) -> int:
         )
 
     methods = [args.method] if args.method else exp.postprocess_methods
-    widths = [args.w] if args.w else exp.postprocess_widths
+    widths = [args.w] if args.w is not None else exp.postprocess_widths
 
     if args.dry_run:
         n_rows = sum(1 if m == "none" else len(widths) for m in methods)

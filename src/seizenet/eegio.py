@@ -442,26 +442,6 @@ def write_edf_file(path: str | Path, rec: Recording) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Windowing
-# ---------------------------------------------------------------------------
-
-
-def _seizure_sample_spans(seizures: list[SeizureInterval], fs: int) -> np.ndarray:
-    """Seizure intervals as a (k, 2) array of half-open sample spans."""
-    spans = [(np.floor(iv.start_s * fs), np.ceil(iv.end_s * fs)) for iv in seizures]
-    return np.array(spans, dtype=np.int64).reshape(-1, 2)
-
-
-def segment_windows(rec: Recording, window_s: float) -> WindowedDataset:
-    """Cut a recording into consecutive fixed-length labeled windows.
-
-    A window is labeled 1 iff it overlaps a seizure interval by at least one
-    sample.  The trailing partial window is discarded, never padded.
-    """
-    return windows_from_recordings([rec], window_s)
-
-
-# ---------------------------------------------------------------------------
 # Annotation CSV
 # ---------------------------------------------------------------------------
 
@@ -514,7 +494,7 @@ def load_annotations(text: str) -> dict[str, list[SeizureInterval]]:
 
 
 # ---------------------------------------------------------------------------
-# Corpus directory loading
+# Corpus directory loading and windowing
 # ---------------------------------------------------------------------------
 
 
@@ -560,14 +540,21 @@ def load_corpus(corpus_dir: str | Path) -> list[Recording]:
     return recordings
 
 
+def _seizure_sample_spans(seizures: list[SeizureInterval], fs: int) -> np.ndarray:
+    """Seizure intervals as a (k, 2) array of half-open sample spans."""
+    spans = [(np.floor(iv.start_s * fs), np.ceil(iv.end_s * fs)) for iv in seizures]
+    return np.array(spans, dtype=np.int64).reshape(-1, 2)
+
+
 def windows_from_recordings(
     recordings: list[Recording], window_s: float = 8.0
 ) -> WindowedDataset:
-    """Cut each recording as ``segment_windows`` does, windows in order.
+    """Cut each recording into fixed-length windows, in record then time order.
 
-    Raises ChannelError when records disagree in channel count,
-    UnsupportedError when they disagree in sample rate, and ConfigError
-    when ``window_s`` is shorter than one sample.
+    A window is labeled 1 iff it overlaps a seizure by at least one sample;
+    each record's trailing partial window is dropped, never padded.  Raises
+    ChannelError or UnsupportedError when records differ in channel count or
+    sample rate, and ConfigError when ``window_s`` is under one sample.
     """
     if not recordings:
         raise ValueError("no recordings given")

@@ -136,17 +136,6 @@ class PlateauEarlyStopper:
         return "continue"
 
 
-def plateau_and_early_stop(history: list[float], spec: ScheduleSpec) -> str:
-    """Decision for the latest epoch of a validation-loss history."""
-    if not history:
-        raise ValueError("history must be non-empty")
-    stopper = PlateauEarlyStopper(spec, base_lr=1.0)
-    decision = "continue"
-    for loss in history:
-        decision = stopper.observe(loss)
-    return decision
-
-
 # ---------------------------------------------------------------------------
 # Imbalance samplers
 # ---------------------------------------------------------------------------

@@ -307,6 +307,13 @@ class TestEval:
         # restore the full sweep for later tests
         assert main(["eval", "--config", str(workdir["exp_cfg"])]) == 0
 
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+    @pytest.mark.parametrize("w", ["0", "4"])
+    def test_bad_width_is_config_error(self, workdir, capsys, w, dry_run):
+        cfg = str(workdir["exp_cfg"])
+        assert main(["eval", "--config", cfg, "--w", w, *dry_run]) == 2
+        assert "smoothing window must be odd" in capsys.readouterr().err
+
     def test_no_folds_is_config_error(self, workdir, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "exp.json",
@@ -408,6 +415,7 @@ class TestConfigErrors:
             ({"postprocess": {"methods": ["median"]}}, "postprocess methods"),
             ({"freeze_policy": "freeze_all"}, "freeze_policy must be one of"),
             ({"init_policy": "load_all"}, "init_policy must be one of"),
+            ({"seed": 1.9}, "seed must be an integer"),
         ],
     )
     def test_bad_value_is_config_error_at_load(
@@ -417,6 +425,18 @@ class TestConfigErrors:
         cfg = write_json(tmp_path / "exp.json", exp)
         assert main(["pretrain", "--config", str(cfg), "--dry-run"]) == 2
         assert message in capsys.readouterr().err
+
+    def test_integral_float_seed_loads_as_that_int(self, workdir, tmp_path):
+        hashes = []
+        for seed in (2, 2.0):
+            cfg = write_json(
+                tmp_path / "exp.json",
+                experiment_dict(workdir["corpus_dir"], tmp_path, seed=seed),
+            )
+            exp = load_experiment(cfg)
+            assert exp.seed == 2 and type(exp.seed) is int
+            hashes.append(exp.hash)
+        assert hashes[0] == hashes[1]
 
     def test_jobs_must_be_positive(self, workdir):
         assert (
@@ -541,15 +561,16 @@ def test_console_entry_point(workdir):
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal is the slowest import; only the filtering stages load it
+    # scipy is the slowest import; only the filtering stages load it
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import sys, seizenet.cli; print('scipy.signal' in sys.modules)",
+            "import sys, seizenet.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         ],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

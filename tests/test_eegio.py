@@ -17,7 +17,6 @@ from seizenet.eegio import (
     load_annotations,
     load_corpus,
     parse_edf,
-    segment_windows,
     windows_from_recordings,
     write_edf,
     write_edf_file,
@@ -290,18 +289,18 @@ def _silent_recording(seconds, fs=256, n_channels=2, seizures=()):
 
 class TestSegmentWindows:
     def test_hour_at_8s_yields_450_windows(self):
-        ds = segment_windows(_silent_recording(3600), window_s=8.0)
+        ds = windows_from_recordings([_silent_recording(3600)], window_s=8.0)
         assert len(ds) == 450
         assert ds.samples_per_window == 2048
 
     def test_trailing_partial_window_discarded(self):
-        ds = segment_windows(_silent_recording(100), window_s=8.0)
+        ds = windows_from_recordings([_silent_recording(100)], window_s=8.0)
         assert len(ds) == 12  # 96 seconds used, 4 discarded
 
     def test_labels_match_interval_overlap_oracle(self):
         # seizure [100, 130) against 8 s windows: window k covers [8k, 8k+8)
         rec = _silent_recording(200, seizures=[SeizureInterval(100.0, 130.0)])
-        ds = segment_windows(rec, window_s=8.0)
+        ds = windows_from_recordings([rec], window_s=8.0)
         expected = [
             1 if max(8 * k, 100.0) < min(8 * k + 8, 130.0) else 0
             for k in range(len(ds))
@@ -314,12 +313,12 @@ class TestSegmentWindows:
         rec = _silent_recording(
             24, fs=fs, seizures=[SeizureInterval(8.0, 8.0 + 1.0 / fs)]
         )
-        labels = segment_windows(rec, window_s=8.0).labels().tolist()
+        labels = windows_from_recordings([rec], window_s=8.0).labels().tolist()
         assert labels == [0, 1, 0]
 
     def test_boundary_touch_is_not_overlap(self):
         rec = _silent_recording(24, seizures=[SeizureInterval(4.0, 8.0)])
-        labels = segment_windows(rec, window_s=8.0).labels().tolist()
+        labels = windows_from_recordings([rec], window_s=8.0).labels().tolist()
         assert labels == [1, 0, 0]
 
     def test_windows_tile_the_prefix_exactly(self):
@@ -331,14 +330,14 @@ class TestSegmentWindows:
             channels=["A"],
             samples=rng.normal(size=(1, 100)),
         )
-        ds = segment_windows(rec, window_s=2.0)
+        ds = windows_from_recordings([rec], window_s=2.0)
         rebuilt = np.concatenate([w.data for w in ds.windows], axis=1)
         npt.assert_array_equal(rebuilt, rec.samples[:, : rebuilt.shape[1]])
 
     def test_bad_window_params_rejected(self):
         rec = _silent_recording(24)
         with pytest.raises(ValueError):
-            segment_windows(rec, window_s=0)
+            windows_from_recordings([rec], window_s=0)
 
 
 class TestLoadAnnotations:

@@ -2,6 +2,7 @@
 central finite differences, graph release and ``no_grad``, and the
 checkpoint container format."""
 
+import math
 import weakref
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from seizenet.nn import (
     save_checkpoint,
     softmax,
 )
+from seizenet.nn.ops import _CDF_BLOCK, _normal_cdf
 from seizenet.model import ModelConfig, forward_classifier, init_weights
 from seizenet.preprocess import normalize
 from seizenet.rand import Rng
@@ -486,6 +488,93 @@ class TestElementwiseOps:
 
         with pytest.raises(ConfigError):
             dropout(Tensor(np.ones(3)), 1.0, Rng(1), training=True)
+
+
+def _exact_cdf(x):
+    """Phi in float64 from math.erf, one element at a time."""
+    flat = [0.5 * (1.0 + math.erf(float(v) / math.sqrt(2.0))) for v in np.ravel(x)]
+    return np.array(flat, dtype=np.float64).reshape(np.shape(x))
+
+
+def _scipy_gelu(x, g):
+    """The scipy-erf GELU kernel this one replaced: output and input gradient."""
+    from scipy.special import erf
+
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    pdf = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x**2)
+    return x * cdf, g * (cdf + x * pdf)
+
+
+class TestNormalCdf:
+    def test_float32_within_3e7_of_math_erf_and_inside_0_1(self):
+        x = np.concatenate(
+            [np.linspace(-12.0, 12.0, 240_001), [0.0, -0.0, np.inf, -np.inf]]
+        ).astype(np.float32)
+        cdf = _normal_cdf(x)
+        assert cdf.dtype == np.float32
+        assert np.max(np.abs(cdf - _exact_cdf(x))) <= 3e-7
+        assert cdf.min() >= 0.0 and cdf.max() <= 1.0
+        assert cdf[-2] == 1.0 and cdf[-1] == 0.0
+
+    def test_nan_in_gives_nan_out(self):
+        cdf = _normal_cdf(np.array([np.nan, 0.5, np.nan], dtype=np.float32))
+        assert np.isnan(cdf).tolist() == [True, False, True]
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (0,),
+            (3, 0, 5),
+            (1,),
+            (7, 11),
+            (2, 3, _CDF_BLOCK // 3 + 1),
+            (2 * _CDF_BLOCK + 17,),
+        ],
+    )
+    def test_any_size_against_the_block(self, shape):
+        size = math.prod(shape)
+        x = np.linspace(-6.0, 6.0, size, dtype=np.float32).reshape(shape)
+        cdf = _normal_cdf(x)
+        assert cdf.shape == shape and cdf.dtype == np.float32
+        if size:
+            assert np.max(np.abs(cdf - _exact_cdf(x))) <= 3e-7
+
+    def test_non_contiguous_input(self):
+        x = np.linspace(-5.0, 5.0, 600, dtype=np.float32).reshape(20, 30)
+        npt.assert_array_equal(_normal_cdf(x.T), _normal_cdf(x).T)
+
+    def test_float64_is_math_erf_exactly(self):
+        rng = Rng(31).child("cdf")
+        x = np.concatenate(
+            [
+                rng.normal(scale=4.0, size=500),
+                [0.0, -0.0, 40.0, -40.0, np.inf, -np.inf],
+            ]
+        )
+        cdf = _normal_cdf(x.reshape(2, -1))
+        assert cdf.dtype == np.float64
+        npt.assert_array_equal(cdf, _exact_cdf(x).reshape(2, -1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_matches_the_scipy_kernel(self, dtype):
+        rng = Rng(32).child("gelu")
+        x = rng.normal(scale=3.0, size=(4, 16, 300)).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        want_out, want_grad = _scipy_gelu(x, g)
+        t = Tensor(x, requires_grad=True)
+        out = gelu(t)
+        out.backward(g)
+        assert out.data.dtype == dtype and t.grad.dtype == dtype
+        if dtype == np.float64:
+            # math.erf and scipy's erf may differ in their last bit
+            npt.assert_allclose(out.data, want_out, rtol=1e-14, atol=1e-15)
+            npt.assert_allclose(t.grad, want_grad, rtol=1e-14, atol=1e-15)
+        else:
+            # Phi's 3e-7 absolute error, scaled by x or g, plus a few roundings
+            out_err = np.abs(out.data - want_out)
+            grad_err = np.abs(t.grad - want_grad)
+            assert np.all(out_err <= 3e-7 * np.abs(x) + 1e-6 * np.abs(want_out))
+            assert np.all(grad_err <= 3e-7 * np.abs(g) + 1e-6 * np.abs(want_grad))
 
 
 class TestGradCheckHarness:

@@ -13,7 +13,6 @@ from seizenet.optim import (
     PlateauEarlyStopper,
     ScheduleSpec,
     adam_step,
-    plateau_and_early_stop,
     smote,
     weighted_sampler,
 )
@@ -102,38 +101,39 @@ class TestAdamStep:
             OptimSpec(beta1=1.0)
 
 
+def _decisions(history, spec):
+    """Per-epoch decisions of one stopper fed ``history``; epoch n at [n-1]."""
+    stopper = PlateauEarlyStopper(spec, base_lr=1.0)
+    return [stopper.observe(loss) for loss in history]
+
+
 class TestSchedule:
     def test_strict_improvement_always_continues(self):
         history = [5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.25]
-        for n in range(1, len(history) + 1):
-            assert plateau_and_early_stop(history[:n], ScheduleSpec()) == "continue"
+        assert _decisions(history, ScheduleSpec()) == ["continue"] * len(history)
 
     def test_best_at_three_reduces_at_eight_stops_at_eighteen(self):
         history = [3.0, 2.0, 1.0] + [1.0] * 15  # best at epoch 3, flat after
-        spec = ScheduleSpec()
-        assert plateau_and_early_stop(history[:7], spec) == "continue"
-        assert plateau_and_early_stop(history[:8], spec) == "reduce_lr"
-        assert plateau_and_early_stop(history[:9], spec) == "continue"
-        assert plateau_and_early_stop(history[:13], spec) == "reduce_lr"
-        assert plateau_and_early_stop(history[:18], spec) == "stop"
+        decisions = _decisions(history, ScheduleSpec())
+        assert decisions[7 - 1] == "continue"
+        assert decisions[8 - 1] == "reduce_lr"
+        assert decisions[9 - 1] == "continue"
+        assert decisions[13 - 1] == "reduce_lr"
+        assert decisions[18 - 1] == "stop"
 
     def test_improvement_resets_both_counters(self):
         history = [3.0, 2.0, 1.0] + [1.0] * 5 + [0.5]  # improves at epoch 9
-        spec = ScheduleSpec()
-        assert plateau_and_early_stop(history, spec) == "continue"
+        decisions = _decisions(history + [0.5] * 5, ScheduleSpec())
+        assert decisions[len(history) - 1] == "continue"
         # next reduction needs 5 more flat epochs after the new best
-        assert plateau_and_early_stop(history + [0.5] * 4, spec) == "continue"
-        assert plateau_and_early_stop(history + [0.5] * 5, spec) == "reduce_lr"
+        assert decisions[len(history) + 4 - 1] == "continue"
+        assert decisions[len(history) + 5 - 1] == "reduce_lr"
 
     def test_two_reductions_scale_lr_by_exactly_001(self):
         stopper = PlateauEarlyStopper(ScheduleSpec(), base_lr=1e-4)
         decisions = [stopper.observe(v) for v in [1.0] + [1.0] * 10]
         assert decisions.count("reduce_lr") == 2
         assert stopper.lr == 1e-4 * 0.1 * 0.1
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            plateau_and_early_stop([], ScheduleSpec())
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seizenet.eegio import load_corpus, segment_windows
+from seizenet.eegio import load_corpus, windows_from_recordings
 from seizenet.errors import SpecError
 from seizenet.synthgen import (
     CorpusSpec,
@@ -166,7 +166,7 @@ class TestSeparability:
         fs = spec.sample_rate_hz
         freq = subject_signature_hz(spec, 1)
         window_s = 4.0
-        ds = segment_windows(rec, window_s)
+        ds = windows_from_recordings([rec], window_s)
 
         def fully_inside(i):
             a, b = i * window_s, (i + 1) * window_s
@@ -243,7 +243,7 @@ class TestCorpus:
         T = int(window_s * fs)
         for item in manifest["records"]:
             rec = loaded[item["record_id"]]
-            got = segment_windows(rec, window_s).labels()
+            got = windows_from_recordings([rec], window_s).labels()
             n_windows = rec.n_samples // T
             expected = []
             for i in range(n_windows):
