@@ -1,4 +1,4 @@
-"""Microbenchmark of the GELU kernel, one train step and one eval forward.
+"""Microbenchmark of GELU, one train step, one eval forward and ingest.
 
 Run from anywhere; ``--src`` picks the seizenet source tree to time, so the
 same script measures a checkout and its parent side by side:
@@ -22,6 +22,12 @@ samples, width 64, 4 transformer layers, with 6 conv blocks at batch 32
 and 3 conv blocks at batch 16.  Inputs are seeded normal draws, so every
 run times the same arithmetic.
 
+- ``cli-conv.prepare``: ``load_corpus`` and ``prepare_recordings`` (band-pass,
+  windowing, normalisation) on the ``cli-conv`` corpus at seed 1, which is
+  synthesised once into a temporary directory.  This is the work that sets
+  the ``cli-conv`` stages' peak RSS.  One more untimed run under
+  ``tracemalloc`` gives ``prepare_peak_mb``, the largest traced heap in MiB.
+
 The output JSON gives, per case, the repeat count, the median and the
 quartiles in ms, and every sample; ``peak_rss_mb`` is this process's
 ``ru_maxrss`` after the last case.
@@ -30,12 +36,15 @@ quartiles in ms, and every sample; ``peak_rss_mb`` is this process's
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
 import resource
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +104,51 @@ def _model_cases(sn, rng, name):
     return train, evaluate
 
 
+def _prepare_case(sn, workdir: Path):
+    workload = WORKLOADS["cli-conv"]
+    corpus_cfg = workdir / "corpus.json"
+    corpus_cfg.write_text(json.dumps(workload.corpus_config(1)))
+    corpus_dir = workdir / "corpus"
+    exp_cfg = workdir / "experiment.json"
+    exp_cfg.write_text(
+        json.dumps({**workload.experiment_config(1), "corpus_dir": str(corpus_dir)})
+    )
+    with contextlib.redirect_stdout(sys.stderr):
+        code = sn.cli.main(
+            ["synth", "--config", str(corpus_cfg), "--out", str(corpus_dir)]
+        )
+    if code != 0:
+        raise RuntimeError(f"synth exited {code}")
+    exp = sn.cli.load_experiment(exp_cfg)
+
+    def prepare():
+        # the raw records stay referenced while they are prepared, as in the CLI
+        recordings = sn.eegio.load_corpus(exp.corpus_dir)
+        return sn.training.prepare_recordings(
+            recordings,
+            window_s=exp.window_s,
+            filter_spec=exp.filter_spec,
+            normalization=exp.normalization,
+        )
+
+    def run(_):
+        t0 = time.perf_counter()
+        dataset = prepare()
+        seconds = time.perf_counter() - t0
+        del dataset
+        return {"cli-conv.prepare": seconds}
+
+    def peak_mb():
+        tracemalloc.start()
+        try:
+            prepare()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    return run, peak_mb
+
+
 def _summary(samples_s: list[float]) -> dict:
     ms = np.array(samples_s) * 1e3
     q1, median, q3 = np.percentile(ms, [25, 50, 75])
@@ -126,11 +180,14 @@ def main(argv=None) -> int:
         parser.error(f"no seizenet package under {args.src}")
 
     sys.path.insert(0, str(args.src.resolve()))
+    import seizenet.cli
+    import seizenet.eegio
     import seizenet.model
     import seizenet.nn
     import seizenet.objectives
     import seizenet.optim
     import seizenet.rand
+    import seizenet.training
 
     sn = seizenet
     rng = np.random.default_rng(0)
@@ -139,12 +196,15 @@ def main(argv=None) -> int:
         runs.extend(_model_cases(sn, rng, name))
 
     samples: dict[str, list[float]] = {}
-    for run in runs:
-        run(-1)  # warm-up: first-touch allocations and BLAS setup
-        for i in range(args.repeats):
-            for key, seconds in run(i).items():
-                samples.setdefault(key, []).append(seconds)
-            print(".", end="", file=sys.stderr, flush=True)
+    with tempfile.TemporaryDirectory(prefix="seizenet-step-") as workdir:
+        prepare_run, prepare_peak = _prepare_case(sn, Path(workdir))
+        for run in [*runs, prepare_run]:
+            run(-1)  # warm-up: first-touch allocations and BLAS setup
+            for i in range(args.repeats):
+                for key, seconds in run(i).items():
+                    samples.setdefault(key, []).append(seconds)
+                print(".", end="", file=sys.stderr, flush=True)
+        prepare_peak_mb = round(prepare_peak(), 1)
     print(file=sys.stderr)
 
     result = {
@@ -158,6 +218,7 @@ def main(argv=None) -> int:
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
         "cases": {key: _summary(vals) for key, vals in samples.items()},
+        "prepare_peak_mb": prepare_peak_mb,
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
@@ -165,6 +226,7 @@ def main(argv=None) -> int:
     }
     for key, case in result["cases"].items():
         print(f"{key:24s} median {case['median']:9.2f} ms  IQR {case['iqr']:7.2f}")
+    print(f"prepare tracemalloc peak {prepare_peak_mb} MiB")
     print(f"peak RSS {result['peak_rss_mb']} MiB")
     if args.out is not None:
         args.out.write_text(json.dumps(result, indent=2) + "\n")

@@ -45,7 +45,7 @@ from .model import FREEZE_POLICIES, INIT_POLICIES, MaskSpec, ModelConfig
 from .nn.checkpoint import config_hash, load_checkpoint, save_checkpoint, write_atomic
 from .objectives import ContrastiveSpec, SswceSpec
 from .optim import OptimSpec, ScheduleSpec
-from .preprocess import FilterSpec
+from .preprocess import NORMALIZATION_METHODS, FilterSpec
 from .rand import Rng
 from .synthgen import CorpusSpec, generate_corpus
 from .training import (
@@ -114,6 +114,13 @@ def _build_section(cls, section: dict, name: str):
         raise ConfigError(f"bad {name!r} section: {err}") from None
 
 
+def _integral(value) -> int:
+    """``int(value)``, refusing a float with a fraction: 3.0 is 3, 3.9 raises."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
 def load_experiment(
     path: str | Path,
     seed_override: int | None = None,
@@ -133,9 +140,7 @@ def load_experiment(
 
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
     try:
-        if isinstance(seed, float) and not seed.is_integer():
-            raise ValueError
-        seed = int(seed)
+        seed = _integral(seed)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"seed must be an integer, got {seed!r}") from None
     out_dir = Path(out_override or raw.get("out_dir", "out"))
@@ -184,6 +189,11 @@ def load_experiment(
     else:
         raise ConfigError("preprocess.filter must be null, 'default', or an object")
     normalization = preprocess.get("normalization", "meanstd")
+    if normalization not in (None, *NORMALIZATION_METHODS):
+        raise ConfigError(
+            f"preprocess.normalization must be null or one of "
+            f"{NORMALIZATION_METHODS}, got {normalization!r}"
+        )
 
     postprocess = dict(raw.get("postprocess", {}))
     unknown = sorted(set(postprocess) - {"methods", "widths"})
@@ -197,8 +207,8 @@ def load_experiment(
             f"choose from {POSTPROCESS_METHODS}"
         )
     try:
-        widths = [int(w) for w in postprocess.get("widths", [3, 5, 7])]
-    except (TypeError, ValueError):
+        widths = [_integral(w) for w in postprocess.get("widths", [3, 5, 7])]
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(
             f"postprocess widths must be integers, got {postprocess['widths']!r}"
         ) from None
@@ -313,16 +323,14 @@ def _train_summary(result) -> dict:
     }
 
 
-def _load_prepared(exp: Experiment):
-    """(recordings, windows); keep only [1] to free the raw samples."""
-    recordings = load_corpus(exp.corpus_dir)
-    dataset = prepare_recordings(
+def _prepare(exp: Experiment, recordings):
+    """The experiment's windows of ``recordings``, ready for training."""
+    return prepare_recordings(
         recordings,
         window_s=exp.window_s,
         filter_spec=exp.filter_spec,
         normalization=exp.normalization,
     )
-    return recordings, dataset
 
 
 def _require_checkpoint(path: Path, exp: Experiment):
@@ -370,7 +378,7 @@ def cmd_synth(args) -> int:
 
 def cmd_pretrain(args) -> int:
     exp = load_experiment(args.config, args.seed, args.out)
-    dataset = _load_prepared(exp)[1]
+    dataset = _prepare(exp, load_corpus(exp.corpus_dir))
     if args.dry_run:
         print(
             f"would pretrain on {len(dataset)} windows "
@@ -416,11 +424,14 @@ def cmd_pretrain(args) -> int:
 
 def cmd_second_pretrain(args) -> int:
     exp = load_experiment(args.config, args.seed, args.out)
-    dataset = _load_prepared(exp)[1]
-    subjects = sorted(dataset.subject_ids())
+    recordings = load_corpus(exp.corpus_dir)
     if args.dry_run:
+        subjects = sorted({rec.subject_id for rec in recordings})
         print(f"would second-pretrain for targets: {', '.join(subjects)}")
         return 0
+    dataset = _prepare(exp, recordings)
+    del recordings
+    subjects = sorted(dataset.subject_ids())
     init = None
     if exp.init_policy != "random":
         init = _require_checkpoint(exp.out_dir / "pretrain.ckpt", exp)
@@ -494,7 +505,7 @@ def _fold_task(plan: FoldPlan, dataset, init, exp: Experiment) -> dict:
 
 def cmd_loocv(args) -> int:
     exp = load_experiment(args.config, args.seed, args.out)
-    recordings, dataset = _load_prepared(exp)
+    recordings = load_corpus(exp.corpus_dir)
     seizures = {rec.record_id: rec.seizures for rec in recordings}
     subjects = sorted(set(rec.subject_id for rec in recordings))
 
@@ -526,6 +537,7 @@ def cmd_loocv(args) -> int:
         )
         return 0
 
+    dataset = _prepare(exp, recordings)
     init_by_subject: dict[str, tuple | None] = {}
     for subject in subjects:
         if exp.init_policy == "random":

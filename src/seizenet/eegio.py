@@ -110,7 +110,10 @@ class Window:
 class WindowedDataset:
     """Non-overlapping labeled windows stored as columns, one row per window.
 
-    ``X`` is a C-contiguous (N, C, T) float64 array; ``y`` (int64 labels),
+    ``X`` is a C-contiguous (N, C, T) array: float64 as
+    ``windows_from_recordings`` cuts it, and ``model.COMPUTE_DTYPE``
+    (float32) once ``training.prepare_recordings`` has normalized it, the
+    form in which windows reach the model.  ``y`` (int64 labels),
     ``subject``, ``record`` and ``index`` (position within its record) are
     length-N columns.  Every column is read-only, so ``matrix()`` and the
     ``Window`` rows hand out views without copying.

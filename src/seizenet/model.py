@@ -1,11 +1,12 @@
 """BENDR-style network assembly.
 
-A strided conv encoder turns a (channels, samples) window into a short
-feature sequence; a constant special row is prepended; an optional span
-mask substitutes a learned embedding; a pre-norm transformer contextualizes
-the sequence; and either a contrastive pretraining view or the classifier
-head consumes the result.  Parameters live in a flat name->Tensor dict so
-freezing, checkpointing, and cross-config weight transfer stay trivial.
+A strided conv encoder turns an (N, C, T) batch of windows into short
+feature sequences (N, S, D); a constant special row is prepended; an
+optional span mask substitutes a learned embedding; a pre-norm transformer
+contextualizes the sequences; and either a contrastive pretraining view or
+the classifier head consumes the result.  Every function takes batches
+only.  Parameters live in a flat name->Tensor dict so freezing,
+checkpointing, and cross-config weight transfer stay trivial.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .nn.tensor import Tensor, as_tensor, concat
 from .rand import Rng
 
 # Parameters are created, and window batches cast, in this dtype, so every
-# training and inference graph computes in it.  Gradient checks build their
+# training and inference graph computes in it; ``prepare_recordings`` stores
+# windows in it, so that cast copies nothing.  Gradient checks build their
 # own float64 graphs; checkpoints store float32 either way.
 COMPUTE_DTYPE = np.float32
 
@@ -351,7 +353,7 @@ def encode(
     rng: Rng | None = None,
     training: bool = False,
 ) -> Tensor:
-    """Conv stage: (C, T) or (N, C, T) -> (S, D) or (N, S, D).
+    """Conv stage: (N, C, T) window batch -> (N, S, D).
 
     The window batch is cast to ``COMPUTE_DTYPE``; it is data, not a graph
     node, so no gradient flows back into it.
@@ -359,9 +361,8 @@ def encode(
     x = Tensor(as_tensor(window).data.astype(COMPUTE_DTYPE, copy=False))
     if training and rng is None:
         raise ValueError("training-mode encode needs an rng")
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x.reshape(1, *x.shape)
+    if x.ndim != 3:
+        raise ShapeError(f"expected an (N, C, T) window batch, got {x.shape}")
     if x.shape[1] != config.in_channels:
         raise ShapeError(
             f"window has {x.shape[1]} channels, config expects "
@@ -385,18 +386,14 @@ def encode(
             params[f"conv.{i}.gn.beta"],
         )
         h = gelu(h)
-    out = h.transpose(0, 2, 1)  # (N, S, D)
-    return out.reshape(out.shape[1], out.shape[2]) if squeeze else out
+    return h.transpose(0, 2, 1)  # (N, S, D)
 
 
 def prepend_special_token(seq: Tensor, value: float = -5.0) -> Tensor:
-    """Insert a constant row at position 0 of (S, D) or (N, S, D)."""
+    """Insert a constant row at position 0 of each (N, S, D) sequence."""
     seq = as_tensor(seq)
-    dtype = seq.data.dtype
-    if seq.ndim == 2:
-        row = Tensor(np.full((1, seq.shape[1]), value, dtype=dtype))
-        return concat([row, seq], axis=0)
-    rows = Tensor(np.full((seq.shape[0], 1, seq.shape[2]), value, dtype=dtype))
+    n, _, d = seq.shape
+    rows = Tensor(np.full((n, 1, d), value, dtype=seq.data.dtype))
     return concat([rows, seq], axis=1)
 
 
@@ -420,26 +417,17 @@ def draw_mask_indices(n_positions: int, spec: MaskSpec, rng: Rng) -> np.ndarray:
 
 
 def substitute_rows(seq: Tensor, embedding: Tensor, indices: np.ndarray) -> Tensor:
-    """Replace rows of (S, D) [or (N, S, D), same rows per batch] by a vector."""
+    """Replace the same rows of every (N, S, D) sequence by a vector."""
     data = seq.data.copy()
-    if seq.ndim == 2:
-        data[indices] = embedding.data
-    else:
-        data[:, indices] = embedding.data
+    data[:, indices] = embedding.data
 
     def backward(g):
         if seq.requires_grad:
             gs = g.copy()
-            if seq.ndim == 2:
-                gs[indices] = 0.0
-            else:
-                gs[:, indices] = 0.0
+            gs[:, indices] = 0.0
             seq.accumulate_grad(gs)
         if embedding.requires_grad:
-            if seq.ndim == 2:
-                embedding.accumulate_grad(g[indices].sum(axis=0))
-            else:
-                embedding.accumulate_grad(g[:, indices].sum(axis=(0, 1)))
+            embedding.accumulate_grad(g[:, indices].sum(axis=(0, 1)))
 
     return Tensor.from_op(data, (seq, embedding), backward)
 
@@ -450,12 +438,13 @@ def apply_mask(
     embedding: Tensor,
     rng: Rng,
 ) -> tuple[Tensor, np.ndarray]:
-    """Mask spans of a special-token-prefixed (S+1, D) sequence.
+    """Mask spans of special-token-prefixed (N, S+1, D) sequences.
 
-    Returns the masked sequence and the sorted masked index set.  Position 0
-    is never masked.
+    Every sequence of the batch masks the same positions.  Returns the
+    masked sequences and the sorted masked index set.  Position 0 is never
+    masked.
     """
-    indices = draw_mask_indices(seq.shape[-2] - 1, spec, rng)
+    indices = draw_mask_indices(seq.shape[1] - 1, spec, rng)
     if indices.size == 0:
         return seq, indices
     return substitute_rows(seq, embedding, indices), indices
@@ -476,18 +465,15 @@ def transformer_forward(
         raise ShapeError(
             f"sequence width {seq.shape[-1]} != model_dim {config.model_dim}"
         )
-    squeeze = seq.ndim == 2
-    h = seq.reshape(1, *seq.shape) if squeeze else seq
-
     pos = conv1d(
-        h.transpose(0, 2, 1),
+        seq.transpose(0, 2, 1),
         params["pos_conv.weight"],
         params["pos_conv.bias"],
         stride=1,
         padding=config.pos_conv_kernel // 2,
         groups=config.pos_conv_groups,
     )
-    h = h + gelu(pos).transpose(0, 2, 1)
+    h = seq + gelu(pos).transpose(0, 2, 1)
 
     for i in range(config.transformer_layers):
         pre = layer_norm(
@@ -523,7 +509,7 @@ def transformer_forward(
             ff = dropout(ff, config.dropout_p, rng.child("ffn_drop", i), training)
         h = h + ff
 
-    return h.reshape(h.shape[1], h.shape[2]) if squeeze else h
+    return h
 
 
 def classify(
@@ -533,13 +519,13 @@ def classify(
     rng: Rng | None = None,
     training: bool = False,
 ) -> Tensor:
-    """Probability pair from the special-token row of a contextual sequence."""
+    """(N, 2) probability pairs from the special-token rows of (N, S, D)."""
     seq = as_tensor(seq)
     if training and rng is None:
         raise ValueError("training-mode classify needs an rng")
-    if seq.shape[-2] < 1:
+    if seq.shape[1] < 1:
         raise ShapeError("classify needs a sequence with at least one row")
-    h = seq[0] if seq.ndim == 2 else seq[:, 0]
+    h = seq[:, 0]
     last = len(config.classifier_dims) - 1
     for i in range(len(config.classifier_dims)):
         h = linear(
@@ -559,7 +545,7 @@ def forward_classifier(
     rng: Rng | None = None,
     training: bool = False,
 ) -> Tensor:
-    """Full supervised path: windows (N, C, T) or (C, T) -> probabilities."""
+    """Full supervised path: windows (N, C, T) -> (N, 2) probabilities."""
     seq = encode(config, params, windows, rng=rng, training=training)
     seq = prepend_special_token(seq, config.special_token_value)
     ctx = transformer_forward(config, params, seq, rng=rng, training=training)

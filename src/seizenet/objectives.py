@@ -2,9 +2,10 @@
 
 The contrastive loss aligns transformer outputs at masked positions with
 the pre-masking encoder outputs, against distractors drawn from the same
-sequence.  The supervised loss partitions the batch by class and weights
-the positive-class term by alpha (sensitivity) and the negative-class term
-by beta (false-positive suppression).
+sequence; it takes (batch, S+1, D) sequences only.  The supervised loss
+partitions the batch by class and weights the positive-class term by alpha
+(sensitivity) and the negative-class term by beta (false-positive
+suppression).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .nn.tensor import Tensor, concat
 from .nn.ops import softmax
 from .rand import Rng
@@ -99,19 +100,17 @@ def contrastive_loss(
 ) -> tuple[Tensor, dict]:
     """Mean over masked positions of -log softmax(cos/temperature).
 
-    ``ctx`` and ``targets`` are (S+1, D) or (batch, S+1, D) with the special
-    token at position 0 (never scored).  Returns the scalar loss and a
-    diagnostics dict with mean target/distractor similarities.
+    ``ctx`` and ``targets`` are (batch, S+1, D) with the special token at
+    position 0 (never scored).  Returns the scalar loss and a diagnostics
+    dict with mean target/distractor similarities.
     """
+    if ctx.ndim != 3:
+        raise ShapeError(f"expected (batch, S+1, D) sequences, got {ctx.shape}")
     if ctx.shape != targets.shape:
         raise ValueError(f"shape mismatch: {ctx.shape} vs {targets.shape}")
     masked = np.asarray(masked, dtype=np.int64)
     if masked.size == 0:
         raise ValueError("contrastive loss needs a non-empty masked set")
-    squeeze = ctx.ndim == 2
-    if squeeze:
-        ctx = ctx.reshape(1, *ctx.shape)
-        targets = targets.reshape(1, *targets.shape)
     n, s_plus_1, _ = ctx.shape
 
     dist_idx = sample_distractor_indices(

@@ -188,7 +188,9 @@ def _smote_samples(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The synthetic samples and labels ``smote`` appends to ``X[rows]``.
 
-    ``y`` labels ``rows``; only the minority rows of ``X`` are read.
+    ``y`` labels ``rows``; only the minority rows of ``X`` are read, and
+    in float64, so the neighbour order does not depend on ``X.dtype``.
+    The synthetic samples come back in ``X.dtype``.
     """
     classes, counts = np.unique(y, return_counts=True)
     if len(classes) != 2:
@@ -203,9 +205,9 @@ def _smote_samples(
         )
     needed = int(n_maj - n_min)
     if needed == 0:
-        return np.empty((0,) + X.shape[1:]), np.empty(0, dtype=np.int64)
+        return np.empty((0,) + X.shape[1:], X.dtype), np.empty(0, dtype=np.int64)
 
-    flat = X[rows[y == minority_cls]].reshape(n_min, -1)
+    flat = np.asarray(X[rows[y == minority_cls]], np.float64).reshape(n_min, -1)
     # pairwise distances; argsort column 0 is each point itself
     sq = (flat**2).sum(axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (flat @ flat.T)
@@ -217,5 +219,5 @@ def _smote_samples(
     u = rng.uniform(size=needed)
     chosen = neighbors[base, pick]
     synth_flat = flat[base] + u[:, None] * (flat[chosen] - flat[base])
-    synth = synth_flat.reshape((needed,) + X.shape[1:])
+    synth = synth_flat.reshape((needed,) + X.shape[1:]).astype(X.dtype, copy=False)
     return synth, np.full(needed, minority_cls, dtype=np.int64)

@@ -113,25 +113,21 @@ def normalize(x: np.ndarray, method: str = "minmax") -> np.ndarray:
 
     ``minmax`` maps to [0, 1] via (x - min) / (max - min + 1e-8); ``meanstd``
     standardizes via (x - mean) / (std + 1e-8).  A constant channel maps to
-    zeros under both methods.  A stack of (C, T) windows is normalized one
-    window at a time into the result, which keeps the temporaries in cache
-    and changes no value.
+    zeros under both methods.
     """
     x = np.asarray(x, dtype=np.float64)
-    if method not in NORMALIZATION_METHODS:
+    if method == "minmax":
+        shift = x.min(axis=-1, keepdims=True)
+        scale = x.max(axis=-1, keepdims=True) - shift + 1e-8
+    elif method == "meanstd":
+        shift = x.mean(axis=-1, keepdims=True)
+        scale = x.std(axis=-1, keepdims=True) + 1e-8
+    else:
         raise ConfigError(
             f"unknown normalization {method!r}; expected one of {NORMALIZATION_METHODS}"
         )
-    out = np.empty_like(x)
-    for window, result in zip(x, out) if x.ndim > 2 else [(x, out)]:
-        if method == "minmax":
-            shift = window.min(axis=-1, keepdims=True)
-            scale = window.max(axis=-1, keepdims=True) - shift + 1e-8
-        else:
-            shift = window.mean(axis=-1, keepdims=True)
-            scale = window.std(axis=-1, keepdims=True) + 1e-8
-        np.subtract(window, shift, out=result)
-        np.divide(result, scale, out=result)
+    out = x - shift
+    out /= scale  # in place: one temporary per call, not two
     return out
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .eegio import WindowedDataset, windows_from_recordings
 from .errors import ConfigError, ProtocolError, TrainError
 from .model import (
+    COMPUTE_DTYPE,
     FREEZE_POLICIES,
     MaskSpec,
     ModelConfig,
@@ -130,8 +131,11 @@ def prepare_recordings(
 ) -> WindowedDataset:
     """Filter whole records, cut windows, then normalize each window.
 
-    Raises ConfigError when the filter was designed for another sample
-    rate than a record's.
+    Filtering, windowing and normalizing run in float64; each window is
+    then rounded once into its row of ``X``, a ``COMPUTE_DTYPE`` array, the
+    form in which every stage hands windows to the model.  Raises
+    ConfigError when the filter was designed for another sample rate than
+    a record's.
     """
     if filter_spec is not None:
         for rec in recordings:
@@ -149,16 +153,11 @@ def prepare_recordings(
         ]
     ds = windows_from_recordings(recordings, window_s)
     del recordings  # free the filtered copies before normalizing
-    if normalization is None:
-        return ds
-    return replace(ds, X=normalize(ds.X, normalization))
-
-
-def _as_matrix(windows) -> np.ndarray:
-    arr = np.asarray(windows, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ConfigError(f"expected (N, C, T) windows, got shape {arr.shape}")
-    return arr
+    # one window at a time, so no second full-size float64 array exists
+    X = np.empty(ds.X.shape, dtype=COMPUTE_DTYPE)
+    for cut, row in zip(ds.X, X):
+        row[...] = cut if normalization is None else normalize(cut, normalization)
+    return replace(ds, X=X)
 
 
 def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
@@ -217,7 +216,7 @@ def _fit(
         if synth is None:
             return X[rows[idx]]
         real = idx < rows.size
-        windows = np.empty((len(idx),) + X.shape[1:])
+        windows = np.empty((len(idx),) + X.shape[1:], dtype=X.dtype)
         windows[real] = X[rows[idx[real]]]
         windows[~real] = synth[idx[~real] - rows.size]
         return windows
@@ -284,10 +283,9 @@ def contrastive_alignment(
     batch_size: int = 32,
 ) -> dict:
     """Evaluation-mode contrastive loss and similarity gap over windows."""
-    X = _as_matrix(windows)
     losses, gaps, target_sims, distractor_sims = [], [], [], []
-    for i, start in enumerate(range(0, len(X), batch_size)):
-        batch = X[start : start + batch_size]
+    for i, start in enumerate(range(0, len(windows), batch_size)):
+        batch = windows[start : start + batch_size]
         srng = rng.child("batch", i)
         with no_grad():
             ctx, targets, masked = forward_pretrain(
@@ -301,7 +299,7 @@ def contrastive_alignment(
         gaps.append(info["alignment_gap"] * weight)
         target_sims.append(info["target_sim"] * weight)
         distractor_sims.append(info["distractor_sim"] * weight)
-    n = len(X)
+    n = len(windows)
     return {
         "loss": sum(losses) / n,
         "alignment_gap": sum(gaps) / n,
@@ -323,7 +321,7 @@ def run_pretraining(
     """Masked contrastive training with a held-out window validation split."""
     if mask_spec.mask_prob <= 0.0:
         raise ConfigError("pretraining requires mask_prob > 0")
-    X = _as_matrix(windows)
+    X = np.asarray(windows)
     n = len(X)
     if n < 2:
         raise ConfigError("pretraining needs at least 2 windows")

@@ -416,6 +416,8 @@ class TestConfigErrors:
             ({"freeze_policy": "freeze_all"}, "freeze_policy must be one of"),
             ({"init_policy": "load_all"}, "init_policy must be one of"),
             ({"seed": 1.9}, "seed must be an integer"),
+            ({"postprocess": {"widths": [3.9, 5]}}, "postprocess widths"),
+            ({"preprocess": {"normalization": "zscore"}}, "preprocess.normalization"),
         ],
     )
     def test_bad_value_is_config_error_at_load(
@@ -438,6 +440,22 @@ class TestConfigErrors:
             hashes.append(exp.hash)
         assert hashes[0] == hashes[1]
 
+    def test_integral_float_width_loads_as_that_int(self, workdir, tmp_path):
+        hashes = []
+        for width in (3, 3.0):
+            postprocess = {"widths": [width, 5]}
+            cfg = write_json(
+                tmp_path / "exp.json",
+                experiment_dict(
+                    workdir["corpus_dir"], tmp_path, postprocess=postprocess
+                ),
+            )
+            exp = load_experiment(cfg)
+            assert exp.postprocess_widths == [3, 5]
+            assert all(type(w) is int for w in exp.postprocess_widths)
+            hashes.append(exp.hash)
+        assert hashes[0] == hashes[1]
+
     def test_jobs_must_be_positive(self, workdir):
         assert (
             main(
@@ -451,6 +469,42 @@ class TestConfigErrors:
             )
             == 2
         )
+
+
+class TestDryRunsPlanFromTheCorpus:
+    """loocv and second-pretrain dry runs read the corpus but prepare no
+    windows: their plans need only each record's subject and seizures."""
+
+    @pytest.fixture(autouse=True)
+    def no_prepare(self, monkeypatch):
+        def explode(*args, **kwargs):
+            raise RuntimeError("a dry run prepared the windows")
+
+        monkeypatch.setattr("seizenet.cli.prepare_recordings", explode)
+
+    def test_second_pretrain_lists_targets(self, workdir, capsys):
+        args = ["second-pretrain", "--config", str(workdir["exp_cfg"]), "--dry-run"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert out == "would second-pretrain for targets: s00, s01\n"
+
+    def test_loocv_prints_fold_plans(self, workdir, capsys):
+        folds = [
+            ("s00_r00", "s00_r02", "s00_r01"),
+            ("s00_r01", "s00_r02", "s00_r00"),
+            ("s00_r02", "s00_r01", "s00_r00"),
+            ("s01_r00", "s01_r01", "s01_r02"),
+            ("s01_r01", "s01_r02", "s01_r00"),
+            ("s01_r02", "s01_r01", "s01_r00"),
+        ]
+        plans = [
+            {"subject": test[:3], "test": test, "train": [train], "val": [val]}
+            for test, train, val in folds
+        ]
+        args = ["loocv", "--config", str(workdir["exp_cfg"]), "--dry-run"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(plans, sort_keys=True, indent=2) + "\n"
 
 
 class TestCorruptCorpus:

@@ -100,8 +100,8 @@ class TestModelConfig:
 class TestEncode:
     def test_output_shapes_single_and_batched(self):
         config, params = tiny_config(), tiny_params()
-        single = encode(config, params, np.zeros((2, 72)))
-        assert single.shape == (6, 16)
+        single = encode(config, params, np.zeros((1, 2, 72)))
+        assert single.shape == (1, 6, 16)
         batched = encode(config, params, np.zeros((3, 2, 72)))
         assert batched.shape == (3, 6, 16)
 
@@ -110,54 +110,60 @@ class TestEncode:
         for name, t in params.items():
             if name.startswith("conv.") and "gn" not in name:
                 t.data = np.zeros_like(t.data)
-        out = encode(config, params, np.ones((2, 72)))
+        out = encode(config, params, np.ones((1, 2, 72)))
         npt.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_too_short_input_rejected(self):
         config, params = tiny_config(), tiny_params()
         with pytest.raises(ShapeError, match="shorter"):
-            encode(config, params, np.zeros((2, 2)))
+            encode(config, params, np.zeros((1, 2, 2)))
 
     def test_channel_mismatch_rejected(self):
         config, params = tiny_config(), tiny_params()
         with pytest.raises(ShapeError, match="channels"):
-            encode(config, params, np.zeros((5, 72)))
+            encode(config, params, np.zeros((1, 5, 72)))
+
+    @pytest.mark.parametrize("forward", [encode, forward_classifier])
+    def test_unbatched_window_rejected(self, forward):
+        config, params = tiny_config(), tiny_params()
+        with pytest.raises(ShapeError, match=r"\(N, C, T\)"):
+            forward(config, params, np.zeros((2, 72)))
 
 
 class TestSpecialTokenAndMask:
     def test_prepend_inserts_constant_row(self):
-        seq = Tensor(np.ones((21, 16)))
+        seq = Tensor(np.ones((1, 21, 16)))
         out = prepend_special_token(seq, -5.0)
-        assert out.shape == (22, 16)
-        npt.assert_array_equal(out.data[0], np.full(16, -5.0))
-        npt.assert_array_equal(out.data[1:], seq.data)
+        assert out.shape == (1, 22, 16)
+        npt.assert_array_equal(out.data[0, 0], np.full(16, -5.0))
+        npt.assert_array_equal(out.data[:, 1:], seq.data)
 
     def test_prepend_empty_sequence(self):
-        out = prepend_special_token(Tensor(np.zeros((0, 16))), -5.0)
-        assert out.shape == (1, 16)
-        npt.assert_array_equal(out.data[0], np.full(16, -5.0))
+        out = prepend_special_token(Tensor(np.zeros((1, 0, 16))), -5.0)
+        assert out.shape == (1, 1, 16)
+        npt.assert_array_equal(out.data[0, 0], np.full(16, -5.0))
 
     def test_prepend_twice_gives_two_special_rows(self):
-        seq = Tensor(np.ones((3, 4)))
+        seq = Tensor(np.ones((1, 3, 4)))
         out = prepend_special_token(prepend_special_token(seq))
-        npt.assert_array_equal(out.data[0], out.data[1])
+        npt.assert_array_equal(out.data[0, 0], out.data[0, 1])
 
     def test_mask_prob_zero_is_noop(self):
-        seq = Tensor(np.ones((5, 4)))
+        seq = Tensor(np.ones((1, 5, 4)))
         emb = Tensor(np.zeros(4))
         out, idx = apply_mask(seq, MaskSpec(mask_prob=0.0), emb, Rng(1))
         assert out is seq
         assert idx.size == 0
 
     def test_saturated_mask_covers_all_but_special(self):
-        seq = Tensor(np.ones((5, 4)))  # S = 4 maskable positions
+        seq = Tensor(np.ones((1, 5, 4)))  # S = 4 maskable positions
         emb = Tensor(np.full(4, 9.0))
         out, idx = apply_mask(
             seq, MaskSpec(mask_prob=1.0, span_len=1), emb, Rng(2)
         )
         npt.assert_array_equal(idx, [1, 2, 3, 4])
-        npt.assert_array_equal(out.data[0], seq.data[0])
-        npt.assert_array_equal(out.data[1:], np.full((4, 4), 9.0))
+        npt.assert_array_equal(out.data[0, 0], seq.data[0, 0])
+        npt.assert_array_equal(out.data[0, 1:], np.full((4, 4), 9.0))
 
     def test_mask_is_deterministic_per_seed(self):
         a = draw_mask_indices(21, MaskSpec(), Rng(42).child("mask"))
@@ -176,7 +182,7 @@ class TestSpecialTokenAndMask:
 
     def test_substitute_rows_gradients(self):
         rng = Rng(3).child("m")
-        seq = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+        seq = Tensor(rng.normal(size=(1, 6, 5)), requires_grad=True)
         emb = Tensor(rng.normal(size=5), requires_grad=True)
         idx = np.array([1, 3])
         report = grad_check(
@@ -198,38 +204,38 @@ class TestTransformer:
             if name.startswith("encoder.") and ("attn" in name or "ffn" in name):
                 t.data = np.zeros_like(t.data)
         rng = Rng(4).child("t")
-        seq = Tensor(rng.normal(size=(7, 16)))
+        seq = Tensor(rng.normal(size=(1, 7, 16)))
         out = transformer_forward(config, params, seq)
         pos = conv1d(
-            seq.transpose(1, 0).reshape(1, 16, 7),
+            seq.transpose(0, 2, 1),
             params["pos_conv.weight"],
             params["pos_conv.bias"],
             stride=1,
             padding=2,
             groups=4,
         )
-        expected = seq.data + gelu(pos).data[0].T
+        expected = seq.data + gelu(pos).data.transpose(0, 2, 1)
         npt.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_position_permutation_changes_output(self):
         config, params = tiny_config(), tiny_params(seed=5)
         rng = Rng(6).child("t")
-        seq = rng.normal(size=(7, 16))
+        seq = rng.normal(size=(1, 7, 16))
         base = transformer_forward(config, params, Tensor(seq)).data
         perm = seq.copy()
-        perm[1:] = perm[1:][::-1]
+        perm[0, 1:] = perm[0, 1:][::-1]
         swapped = transformer_forward(config, params, Tensor(perm)).data
-        assert not np.allclose(base[0], swapped[0], atol=1e-8)
+        assert not np.allclose(base[0, 0], swapped[0, 0], atol=1e-8)
 
     def test_width_mismatch_rejected(self):
         config, params = tiny_config(), tiny_params()
         with pytest.raises(ShapeError, match="width"):
-            transformer_forward(config, params, Tensor(np.zeros((7, 8))))
+            transformer_forward(config, params, Tensor(np.zeros((1, 7, 8))))
 
     def test_gradients_through_two_layer_encoder(self):
         config, params = tiny_config(), tiny_params(seed=7)
         rng = Rng(8).child("t")
-        seq = Tensor(rng.normal(size=(6, 16)), requires_grad=True)
+        seq = Tensor(rng.normal(size=(1, 6, 16)), requires_grad=True)
         probes = [
             seq,
             params["pos_conv.weight"],
@@ -251,8 +257,8 @@ class TestClassify:
             if name.startswith("classifier."):
                 t.data = np.zeros_like(t.data)
         rng = Rng(9).child("c")
-        probs = classify(config, params, Tensor(rng.normal(size=(7, 16))))
-        npt.assert_allclose(probs.data, [0.5, 0.5])
+        probs = classify(config, params, Tensor(rng.normal(size=(1, 7, 16))))
+        npt.assert_allclose(probs.data, [[0.5, 0.5]])
 
     def test_probabilities_form_a_simplex(self):
         config, params = tiny_config(), tiny_params(seed=10)
@@ -266,10 +272,10 @@ class TestClassify:
     def test_gradients_through_classifier(self):
         config, params = tiny_config(), tiny_params(seed=12)
         rng = Rng(13).child("c")
-        seq = Tensor(rng.normal(size=(7, 16)), requires_grad=True)
+        seq = Tensor(rng.normal(size=(1, 7, 16)), requires_grad=True)
         probes = [seq, params["classifier.0.weight"], params["classifier.2.bias"]]
         report = grad_check(
-            lambda s, *_: classify(config, params, s)[1].sum(), probes
+            lambda s, *_: classify(config, params, s)[:, 1].sum(), probes
         )
         assert report.passed(1e-4)
 
@@ -278,8 +284,8 @@ class TestFullForward:
     def test_classifier_path_shapes(self):
         config, params = tiny_config(), tiny_params(seed=14)
         rng = Rng(15).child("f")
-        single = forward_classifier(config, params, rng.normal(size=(2, 72)))
-        assert single.shape == (2,)
+        single = forward_classifier(config, params, rng.normal(size=(1, 2, 72)))
+        assert single.shape == (1, 2)
         batch = forward_classifier(config, params, rng.normal(size=(4, 2, 72)))
         assert batch.shape == (4, 2)
 
@@ -289,8 +295,8 @@ class TestFullForward:
         windows = rng.normal(size=(3, 2, 72))
         batch = forward_classifier(config, params, windows)
         for i in range(3):
-            one = forward_classifier(config, params, windows[i])
-            npt.assert_allclose(batch.data[i], one.data, atol=1e-10)
+            one = forward_classifier(config, params, windows[i : i + 1])
+            npt.assert_allclose(batch.data[i], one.data[0], atol=1e-10)
 
     def test_pretrain_path_returns_aligned_shapes(self):
         config, params = tiny_config(), tiny_params(seed=18)
@@ -311,7 +317,7 @@ class TestFullForward:
     def test_training_mode_requires_rng(self):
         config, params = tiny_config(), tiny_params()
         with pytest.raises(ValueError, match="rng"):
-            forward_classifier(config, params, np.zeros((2, 72)), training=True)
+            forward_classifier(config, params, np.zeros((1, 2, 72)), training=True)
 
 
 class TestInitPolicies:
@@ -386,8 +392,8 @@ class TestFreezePolicies:
         config, params = tiny_config(), tiny_params(seed=30)
         set_trainable(params, "freeze_conv")
         rng = Rng(31).child("f")
-        probs = forward_classifier(config, params, rng.normal(size=(2, 72)))
-        probs[1].backward()
+        probs = forward_classifier(config, params, rng.normal(size=(1, 2, 72)))
+        probs[0, 1].backward()
         assert params["conv.0.weight"].grad is None
         assert params["classifier.0.weight"].grad is not None
 
@@ -427,7 +433,7 @@ class TestComputeDtype:
 
         monkeypatch.setattr(Tensor, "accumulate_grad", recording)
         config = tiny_config()
-        windows = rng.normal(size=(4, 2, 72))  # float64, like WindowedDataset.X
+        windows = rng.normal(size=(4, 2, 72))  # float64, cast by encode
         ctx, targets, masked = forward_pretrain(
             config, params, windows, MaskSpec(0.3, 2), rng.child("m")
         )

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seizenet.errors import ConfigError
+from seizenet.errors import ConfigError, ShapeError
 from seizenet.nn import Tensor, grad_check, softmax
 from seizenet.objectives import (
     ContrastiveSpec,
@@ -27,7 +27,7 @@ class TestContrastiveLoss:
         d = 4
         e1 = np.eye(d)[0]
         e2 = np.eye(d)[1]
-        seq = np.stack([np.full(d, -5.0), e1, e2])
+        seq = np.stack([np.full(d, -5.0), e1, e2])[None]
         ctx = Tensor(seq.copy())
         targets = Tensor(seq.copy())
         spec = ContrastiveSpec(num_distractors=20, temperature=0.1)
@@ -42,7 +42,7 @@ class TestContrastiveLoss:
     def test_uniform_similarities_give_log_k_plus_1(self):
         d = 6
         row = np.ones(d)
-        seq = np.stack([np.full(d, -5.0)] + [row] * 4)
+        seq = np.stack([np.full(d, -5.0)] + [row] * 4)[None]
         loss, _ = contrastive_loss(
             Tensor(seq),
             Tensor(seq.copy()),
@@ -54,8 +54,8 @@ class TestContrastiveLoss:
 
     def test_gradients_s8_d16_k3(self):
         rng = Rng(2).child("c")
-        ctx = Tensor(rng.normal(size=(9, 16)), requires_grad=True)
-        targets = Tensor(rng.normal(size=(9, 16)), requires_grad=True)
+        ctx = Tensor(rng.normal(size=(1, 9, 16)), requires_grad=True)
+        targets = Tensor(rng.normal(size=(1, 9, 16)), requires_grad=True)
         masked = np.array([2, 5, 6])
         spec = ContrastiveSpec(num_distractors=3)
 
@@ -66,7 +66,7 @@ class TestContrastiveLoss:
         assert grad_check(closure, [ctx, targets]).passed(1e-4)
 
     def test_zero_norm_rows_stay_finite(self):
-        seq = np.zeros((4, 8))
+        seq = np.zeros((1, 4, 8))
         loss, _ = contrastive_loss(
             Tensor(seq),
             Tensor(seq.copy()),
@@ -77,10 +77,17 @@ class TestContrastiveLoss:
         assert np.isfinite(loss.item())
 
     def test_empty_masked_set_rejected(self):
-        seq = Tensor(np.zeros((4, 8)))
+        seq = Tensor(np.zeros((1, 4, 8)))
         with pytest.raises(ValueError, match="non-empty"):
             contrastive_loss(
                 seq, seq, np.array([]), ContrastiveSpec(), Rng(5)
+            )
+
+    def test_unbatched_sequences_rejected(self):
+        seq = Tensor(np.zeros((4, 8)))
+        with pytest.raises(ShapeError, match="batch, S\\+1, D"):
+            contrastive_loss(
+                seq, seq, np.array([1]), ContrastiveSpec(), Rng(5)
             )
 
     def test_distractors_avoid_masked_and_special_positions(self):

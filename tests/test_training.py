@@ -13,10 +13,10 @@ import pytest
 
 from seizenet.eegio import Recording, SeizureInterval
 from seizenet.errors import ConfigError, ProtocolError, TrainError
-from seizenet.model import MaskSpec, ModelConfig
+from seizenet.model import MaskSpec, ModelConfig, forward_classifier
 from seizenet.objectives import ContrastiveSpec, SswceSpec
-from seizenet.optim import OptimSpec, ScheduleSpec
-from seizenet.preprocess import FilterSpec, preprocess_recording_samples
+from seizenet.optim import OptimSpec, ScheduleSpec, _smote_samples
+from seizenet.preprocess import FilterSpec, normalize, preprocess_recording_samples
 from seizenet.rand import Rng
 from seizenet.synthgen import CorpusSpec, generate_recording
 from seizenet.training import (
@@ -182,7 +182,7 @@ class TestColumnarStore:
         )
 
         T = 128
-        windows, labels, records = [], [], []
+        cuts, windows, labels, records = [], [], [], []
         for rec in recordings:
             samples = preprocess_recording_samples(rec.samples, spec)
             spans = [
@@ -192,6 +192,7 @@ class TestColumnarStore:
             for k in range(samples.shape[1] // T):
                 a, b = k * T, (k + 1) * T
                 window = samples[:, a:b].copy()
+                cuts.append(window)
                 if method == "minmax":
                     lo = window.min(axis=-1, keepdims=True)
                     hi = window.max(axis=-1, keepdims=True)
@@ -204,8 +205,14 @@ class TestColumnarStore:
                 labels.append(int(any(max(a, s) < min(b, e) for s, e in spans)))
                 records.append(rec.record_id)
 
-        assert np.array_equal(ds.matrix(), np.stack(windows))
-        assert ds.matrix().flags.c_contiguous
+        # float64 up to the store, which rounds each window once
+        reference = np.stack(windows)
+        if method is not None:
+            assert normalize(np.stack(cuts), method).tobytes() == reference.tobytes()
+        X = ds.matrix()
+        assert X.dtype == np.float32
+        assert X.flags.c_contiguous and not X.flags.writeable
+        assert X.tobytes() == reference.astype(np.float32).tobytes()
         assert np.array_equal(ds.labels(), labels)
         assert ds.labels().dtype == np.int64 and 0 < sum(labels) < len(labels)
         assert [w.record_id for w in ds] == records
@@ -493,3 +500,52 @@ class TestRunFold:
                 **fast_specs(sampler_spec=spec),
             )
             assert math.isfinite(result.train.val_losses[0])
+
+    def test_smote_batches_keep_the_store_dtype(self, dataset, monkeypatch):
+        seen = []
+
+        def recording(config, params, windows, rng=None, training=False):
+            if training:
+                seen.append((windows.dtype, len(windows)))
+            return forward_classifier(
+                config, params, windows, rng=rng, training=training
+            )
+
+        monkeypatch.setattr("seizenet.training.forward_classifier", recording)
+        plan, subject_ds = self.make_plan(dataset)
+        run_fold(
+            plan,
+            subject_ds,
+            tiny_config(),
+            Rng(12).child("fold"),
+            **fast_specs(sampler_spec=SamplerSpec(kind="smote", smote_k=1)),
+        )
+        n_train = np.isin(subject_ds.record, plan.train_records).sum()
+        # one epoch covers the real rows and the synthetic ones
+        assert sum(n for _, n in seen) > n_train
+        assert {dtype for dtype, _ in seen} == {np.dtype(np.float32)}
+
+
+class TestSmoteSamples:
+    def test_float32_store_picks_the_float64_neighbours(self, dataset):
+        X = dataset.matrix()
+        rows = np.arange(0, len(X), 2)
+        y = dataset.y[rows]
+        synth, synth_y = _smote_samples(X, rows, y, 3, Rng(5).child("s"))
+        ref, ref_y = _smote_samples(
+            X.astype(np.float64), rows, y, 3, Rng(5).child("s")
+        )
+        assert len(synth) > 0 and synth.dtype == np.float32
+        assert ref.dtype == np.float64
+        # the same neighbours and weights, rounded once at the end
+        assert synth.tobytes() == ref.astype(np.float32).tobytes()
+        assert np.array_equal(synth_y, ref_y)
+
+    def test_balanced_rows_give_an_empty_batch_in_the_store_dtype(self, dataset):
+        X = dataset.matrix()
+        rows = np.concatenate(
+            [np.flatnonzero(dataset.y == 1)[:4], np.flatnonzero(dataset.y == 0)[:4]]
+        )
+        synth, synth_y = _smote_samples(X, rows, dataset.y[rows], 1, Rng(6))
+        assert synth.shape == (0,) + X.shape[1:] and synth.dtype == np.float32
+        assert synth_y.size == 0
