@@ -1,4 +1,4 @@
-"""Microbenchmark of GELU, one train step, one eval forward and ingest.
+"""Microbenchmark of GELU, one train step, one eval forward, ingest and setup.
 
 Run from anywhere; ``--src`` picks the seizenet source tree to time, so the
 same script measures a checkout and its parent side by side:
@@ -27,6 +27,12 @@ run times the same arithmetic.
   synthesised once into a temporary directory.  This is the work that sets
   the ``cli-conv`` stages' peak RSS.  One more untimed run under
   ``tracemalloc`` gives ``prepare_peak_mb``, the largest traced heap in MiB.
+- ``bandpass``: ``preprocess_recording_samples`` on the first record of that
+  corpus (20 channels x 81,920 samples).
+- ``cli-conv.setup``: the wall time of a fresh ``python -m seizenet pretrain
+  --dry-run`` process on that corpus, which loads, filters, windows and
+  normalises it.  In-process cases hide import cost; this one counts it,
+  as every training stage pays it.
 
 The output JSON gives, per case, the repeat count, the median and the
 quartiles in ms, and every sample; ``peak_rss_mb`` is this process's
@@ -41,6 +47,7 @@ import json
 import os
 import platform
 import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -104,7 +111,7 @@ def _model_cases(sn, rng, name):
     return train, evaluate
 
 
-def _prepare_case(sn, workdir: Path):
+def _corpus_cases(sn, workdir: Path, src: Path):
     workload = WORKLOADS["cli-conv"]
     corpus_cfg = workdir / "corpus.json"
     corpus_cfg.write_text(json.dumps(workload.corpus_config(1)))
@@ -138,6 +145,23 @@ def _prepare_case(sn, workdir: Path):
         del dataset
         return {"cli-conv.prepare": seconds}
 
+    samples = sn.eegio.load_corpus(exp.corpus_dir)[0].samples
+
+    def bandpass(_):
+        t0 = time.perf_counter()
+        sn.preprocess.preprocess_recording_samples(samples, exp.filter_spec)
+        return {"bandpass": time.perf_counter() - t0}
+
+    dry_run = [sys.executable, "-m", "seizenet", "pretrain", "--dry-run"]
+    dry_run += ["--config", str(exp_cfg)]
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+    def setup(_):
+        t0 = time.perf_counter()
+        subprocess.run(dry_run, env=env, stdout=subprocess.DEVNULL, check=True)
+        return {"cli-conv.setup": time.perf_counter() - t0}
+
     def peak_mb():
         tracemalloc.start()
         try:
@@ -146,7 +170,7 @@ def _prepare_case(sn, workdir: Path):
         finally:
             tracemalloc.stop()
 
-    return run, peak_mb
+    return [run, bandpass, setup], peak_mb
 
 
 def _summary(samples_s: list[float]) -> dict:
@@ -186,6 +210,7 @@ def main(argv=None) -> int:
     import seizenet.nn
     import seizenet.objectives
     import seizenet.optim
+    import seizenet.preprocess
     import seizenet.rand
     import seizenet.training
 
@@ -197,8 +222,9 @@ def main(argv=None) -> int:
 
     samples: dict[str, list[float]] = {}
     with tempfile.TemporaryDirectory(prefix="seizenet-step-") as workdir:
-        prepare_run, prepare_peak = _prepare_case(sn, Path(workdir))
-        for run in [*runs, prepare_run]:
+        src = args.src.resolve()
+        corpus_runs, prepare_peak = _corpus_cases(sn, Path(workdir), src)
+        for run in [*runs, *corpus_runs]:
             run(-1)  # warm-up: first-touch allocations and BLAS setup
             for i in range(args.repeats):
                 for key, seconds in run(i).items():

@@ -114,11 +114,14 @@ def _build_section(cls, section: dict, name: str):
         raise ConfigError(f"bad {name!r} section: {err}") from None
 
 
-def _integral(value) -> int:
-    """``int(value)``, refusing a float with a fraction: 3.0 is 3, 3.9 raises."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(value)
-    return int(value)
+def _integral(value, name: str) -> int:
+    """``int(value)``, else ConfigError naming ``name``: 3.0 is 3, 3.9 is refused."""
+    try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def load_experiment(
@@ -139,10 +142,7 @@ def load_experiment(
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    try:
-        seed = _integral(seed)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"seed must be an integer, got {seed!r}") from None
+    seed = _integral(seed, "seed")
     out_dir = Path(out_override or raw.get("out_dir", "out"))
     corpus_dir = Path(raw.get("corpus_dir", "corpus"))
     try:
@@ -185,6 +185,9 @@ def load_experiment(
     elif filter_section is None:
         filter_spec = None
     elif isinstance(filter_section, dict):
+        if "order" in filter_section:
+            order = _integral(filter_section["order"], "preprocess.filter order")
+            filter_section = {**filter_section, "order": order}
         filter_spec = _build_section(FilterSpec, filter_section, "filter")
     else:
         raise ConfigError("preprocess.filter must be null, 'default', or an object")
@@ -206,12 +209,10 @@ def load_experiment(
             f"unknown postprocess methods {unknown}; "
             f"choose from {POSTPROCESS_METHODS}"
         )
-    try:
-        widths = [_integral(w) for w in postprocess.get("widths", [3, 5, 7])]
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(
-            f"postprocess widths must be integers, got {postprocess['widths']!r}"
-        ) from None
+    widths = [
+        _integral(w, "each of postprocess widths")
+        for w in postprocess.get("widths", [3, 5, 7])
+    ]
     for w in widths:
         _check_window(w)
 

@@ -2,13 +2,15 @@
 
 Filtering is causal (forward-only) and applied to whole records before
 windowing, so no window sees samples from its own future relative to the
-record timeline.  Filters are held as second-order sections for numerical
-stability at a 0.5 Hz corner.
+record timeline.  Filters are designed as second-order sections for
+numerical stability at a 0.5 Hz corner, and applied block by block with
+matrix products.  The module needs numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,8 +27,8 @@ class FilterSpec:
     sample_rate_hz: int = 256
 
     def __post_init__(self):
-        if self.order < 1:
-            raise DesignError(f"filter order must be >= 1, got {self.order}")
+        if self.order != int(self.order) or self.order < 1:
+            raise DesignError(f"filter order must be an integer >= 1, got {self.order}")
         nyquist = self.sample_rate_hz / 2.0
         if not (0.0 < self.low_hz < self.high_hz < nyquist):
             raise DesignError(
@@ -39,20 +41,57 @@ def design_butterworth_bandpass(spec: FilterSpec = FilterSpec()) -> np.ndarray:
     """Design a Butterworth band-pass filter as second-order sections.
 
     Returns an (n_sections, 6) array of [b0 b1 b2 a0 a1 a2] rows with a0=1.
+    The analog prototype is moved to the pre-warped band edges, mapped by
+    the bilinear transform and paired into sections as
+    ``scipy.signal.butter(..., output="sos")`` does, with the same
+    arithmetic, so the coefficients are equal to scipy's bit for bit: each
+    pole pair takes the two nearest zeros, the pole nearest the unit circle
+    goes in the last section, and the gain goes in the first.
     Raises DesignError if any pole lies on or outside the unit circle.
     """
-    # scipy.signal is imported on use: it is the slowest import in the
-    # package, and the stages that never filter should not pay for it
-    from scipy import signal
+    n = spec.order
+    edges = np.array([spec.low_hz, spec.high_hz], dtype=np.float64)
+    warped = 4.0 * np.tan(np.pi * (edges / (spec.sample_rate_hz / 2.0)) / 2.0)
+    bw = float(warped[1] - warped[0])
+    wo = float(np.sqrt(warped[0] * warped[1]))
+    # the analog low-pass prototype's poles, moved to the band around wo
+    m = np.arange(-n + 1, n, 2, dtype=np.float64)
+    poles = -np.exp(1j * np.pi * m / (2 * n)) * bw / 2
+    shift = np.sqrt(poles**2 - wo**2)
+    poles = np.concatenate((poles + shift, poles - shift))
+    # bilinear transform at fs = 2: the n zeros at s = 0 go to z = 1 and
+    # the n at infinity to z = -1
+    gain = bw**n * np.real(4.0**n / np.prod(4.0 - poles))
+    poles = (4.0 + poles) / (4.0 - poles)
+    zeros = np.repeat([-1.0, 1.0], n)
+    # one pole per conjugate pair (the pair's mean), by real part, then the
+    # real poles: the order in which ties between poles are settled below
+    poles = poles[np.lexsort((np.abs(poles.imag), poles.real))]
+    real = np.abs(poles.imag) <= 100 * np.finfo(np.float64).eps * np.abs(poles)
+    upper = poles[~real & (poles.imag > 0)]
+    lower = poles[~real & (poles.imag < 0)]
+    poles = np.concatenate(((upper + lower.conj()) / 2, poles[real].real))
 
-    sos = signal.butter(
-        spec.order,
-        [spec.low_hz, spec.high_hz],
-        btype="bandpass",
-        fs=spec.sample_rate_hz,
-        output="sos",
-    )
-    sos = np.asarray(sos, dtype=np.float64)
+    sos = np.zeros((n, 6))
+    for row in range(n - 1, -1, -1):
+        i = np.argmin(np.abs(1 - np.abs(poles)))
+        p1 = poles[i]
+        poles = np.delete(poles, i)
+        if np.isreal(p1):
+            reals = np.flatnonzero(np.isreal(poles))
+            i = reals[np.argmin(np.abs(1 - np.abs(poles[reals])))]
+            p2 = poles[i]
+            poles = np.delete(poles, i)
+        else:
+            p2 = p1.conj()
+        pair = []
+        for _ in range(2):
+            i = np.argsort(np.abs(zeros - p1))[0]
+            pair.append(zeros[i])
+            zeros = np.delete(zeros, i)
+        sos[row, :3] = np.convolve([1.0, -pair[0]], [1.0, -pair[1]])
+        sos[row, 3:] = np.real(np.convolve(np.array([1, -p1]), np.array([1, -p2])))
+    sos[0, :3] *= gain
     for poles in section_poles(sos):
         if np.any(np.abs(poles) >= 1.0):
             raise DesignError(
@@ -95,14 +134,78 @@ def response_db(
 
 def apply_filter(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Causally filter along the last axis (zero initial conditions)."""
-    x = np.asarray(x, dtype=np.float64)
+    return _run_blocks(_block_system(sos), x)
+
+
+# Samples per block of the blocked filter: one GEMM computes every block's
+# response to its own input, and a short loop carries the state across blocks.
+BLOCK = 64
+
+
+def _block_system(sos: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The section cascade as block matrices for ``_run_blocks``.
+
+    The direct-form-II-transposed sections form one state-space system
+    x' = A x + B u, y = C x + D u with two states per section.  Over a
+    block of BLOCK samples, the input reaches the output through the
+    Toeplitz matrix of the impulse response and the next block's state
+    through A^j B, and the block's starting state reaches its outputs
+    through C A^n and the next starting state through A^BLOCK.
+    """
+    sos = np.atleast_2d(np.asarray(sos, dtype=np.float64))
+    n_states = 2 * len(sos)
+    a = np.zeros((n_states, n_states))
+    b = np.zeros(n_states)
+    c = np.zeros(n_states)  # section input = c @ x + d * u
+    d = 1.0
+    for s, (b0, b1, b2, _, a1, a2) in enumerate(sos):
+        c_out = b0 * c
+        c_out[2 * s] += 1.0
+        d_out = b0 * d
+        a[2 * s] = b1 * c - a1 * c_out
+        a[2 * s, 2 * s + 1] += 1.0
+        a[2 * s + 1] = b2 * c - a2 * c_out
+        b[2 * s] = b1 * d - a1 * d_out
+        b[2 * s + 1] = b2 * d - a2 * d_out
+        c, d = c_out, d_out
+    observe = [c]  # C A^n
+    drive = [b]  # A^j B
+    step = a  # A^BLOCK, by repeated products: squaring loses a digit
+    for _ in range(BLOCK - 1):
+        observe.append(observe[-1] @ a)
+        drive.append(a @ drive[-1])
+        step = a @ step
+    observe = np.array(observe)
+    impulse = np.concatenate(([d], observe[:-1] @ b))
+    lags = np.abs(np.subtract.outer(np.arange(BLOCK), np.arange(BLOCK)))
+    forced = np.triu(impulse[lags])  # [m, n]: input m to output n >= m
+    return forced, np.array(drive[::-1]), step.T, observe.T
+
+
+def _run_blocks(system: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    """Filter ``x`` along its last axis with ``_block_system``'s matrices."""
+    forced, drive, step_t, observe_t = system
+    x = np.asarray(x)
     if x.size == 0:
         raise SignalError("cannot filter an empty signal")
     if not np.all(np.isfinite(x)):
         raise SignalError("signal contains non-finite samples")
-    from scipy import signal
-
-    return signal.sosfilt(sos, x, axis=-1)
+    n = x.shape[-1]
+    rows = x.reshape(-1, n)
+    n_blocks = -(-n // BLOCK)
+    # zero padding at the tail: the filter is causal, so it moves no output
+    u = np.zeros((len(rows), n_blocks * BLOCK))
+    u[:, :n] = rows
+    u = u.reshape(len(rows), n_blocks, BLOCK)
+    y = u @ forced
+    inputs = u @ drive
+    states = np.empty_like(inputs)  # each block's starting state
+    state = np.zeros((len(rows), inputs.shape[-1]))
+    for k in range(n_blocks):
+        states[:, k] = state
+        state = state @ step_t + inputs[:, k]
+    y += np.matmul(states, observe_t, out=u)
+    return y.reshape(len(rows), -1)[:, :n].reshape(x.shape)
 
 
 NORMALIZATION_METHODS = ("minmax", "meanstd")
@@ -131,9 +234,16 @@ def normalize(x: np.ndarray, method: str = "minmax") -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
+def _spec_system(spec: FilterSpec) -> tuple[np.ndarray, ...]:
+    system = _block_system(design_butterworth_bandpass(spec))
+    for matrix in system:
+        matrix.flags.writeable = False  # shared by every caller
+    return system
+
+
 def preprocess_recording_samples(
     samples: np.ndarray, spec: FilterSpec = FilterSpec()
 ) -> np.ndarray:
     """Band-pass filter whole-record samples (channels, n_samples)."""
-    sos = design_butterworth_bandpass(spec)
-    return apply_filter(sos, samples)
+    return _run_blocks(_spec_system(spec), samples)

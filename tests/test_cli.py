@@ -418,6 +418,7 @@ class TestConfigErrors:
             ({"seed": 1.9}, "seed must be an integer"),
             ({"postprocess": {"widths": [3.9, 5]}}, "postprocess widths"),
             ({"preprocess": {"normalization": "zscore"}}, "preprocess.normalization"),
+            ({"preprocess": {"filter": {"order": 2.5}}}, "order must be an integer"),
         ],
     )
     def test_bad_value_is_config_error_at_load(
@@ -453,6 +454,16 @@ class TestConfigErrors:
             exp = load_experiment(cfg)
             assert exp.postprocess_widths == [3, 5]
             assert all(type(w) is int for w in exp.postprocess_widths)
+            hashes.append(exp.hash)
+        assert hashes[0] == hashes[1]
+
+    def test_integral_float_filter_order_loads_as_that_int(self, workdir, tmp_path):
+        hashes = []
+        for order in (4, 4.0):
+            exp = experiment_dict(workdir["corpus_dir"], tmp_path)
+            exp["preprocess"]["filter"]["order"] = order
+            exp = load_experiment(write_json(tmp_path / "exp.json", exp))
+            assert exp.filter_spec.order == 4 and type(exp.filter_spec.order) is int
             hashes.append(exp.hash)
         assert hashes[0] == hashes[1]
 
@@ -628,3 +639,32 @@ def test_import_leaves_scipy_signal_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_stages_run_with_scipy_unimportable(tmp_path):
+    # scipy is a test-only reference: synth, a dry run that filters, and a
+    # one-epoch pretrain all finish when every scipy import raises
+    corpus_cfg = write_json(tmp_path / "corpus.json", CORPUS_SPEC)
+    corpus_dir = tmp_path / "corpus"
+    exp_cfg = write_json(
+        tmp_path / "exp.json", experiment_dict(corpus_dir, tmp_path / "out")
+    )
+    stages = [
+        ["synth", "--config", str(corpus_cfg), "--out", str(corpus_dir)],
+        ["pretrain", "--config", str(exp_cfg), "--dry-run"],
+        ["pretrain", "--config", str(exp_cfg)],
+    ]
+    script = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from seizenet.cli import main\n"
+        "print([main(argv) for argv in json.loads(sys.argv[1])])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(stages)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0]"
+    assert (tmp_path / "out" / "pretrain.ckpt").is_file()

@@ -2,7 +2,8 @@
 
 Frequency-domain properties are checked through the package's own transfer
 function evaluator, and time-domain filtering against a naive per-sample
-difference-equation recursion written in this file.
+difference-equation recursion written in this file.  Design and filtering
+are also compared with ``scipy.signal``, which only these tests import.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from seizenet.errors import ConfigError, DesignError, SignalError
 from seizenet.preprocess import (
+    BLOCK,
     FilterSpec,
     apply_filter,
     design_butterworth_bandpass,
@@ -119,6 +121,65 @@ class TestApplyFilter:
             apply_filter(self.sos, x)
         with pytest.raises(SignalError, match="empty"):
             apply_filter(self.sos, np.array([]))
+
+
+# (order, low_hz, high_hz, sample_rate_hz): the default 256 Hz band, the
+# 64 Hz band of the small test corpora, and edges close to 0 and to Nyquist
+SCIPY_GRID = [
+    (order, *band)
+    for order in range(1, 9)
+    for band in [
+        (0.5, 50.0, 256),
+        (0.5, 25.0, 64),
+        (0.001, 50.0, 256),
+        (0.5, 127.99, 256),
+        (1e-4, 127.999, 256),
+    ]
+]
+
+
+@pytest.mark.parametrize("order, low_hz, high_hz, rate", SCIPY_GRID)
+def test_design_equals_scipy_butter(order, low_hz, high_hz, rate):
+    signal = pytest.importorskip("scipy.signal")
+    spec = FilterSpec(order, low_hz, high_hz, rate)
+    want = signal.butter(
+        order, [low_hz, high_hz], btype="bandpass", fs=rate, output="sos"
+    )
+    npt.assert_array_equal(design_butterworth_bandpass(spec), want)
+
+
+def test_filter_matches_scipy_sosfilt_on_a_full_record():
+    signal = pytest.importorskip("scipy.signal")
+    sos = design_butterworth_bandpass(FilterSpec())
+    # one record of the 20-channel, 320 s, 256 Hz benchmark corpus
+    x = np.random.default_rng(9).normal(scale=40.0, size=(20, 320 * 256))
+    want = signal.sosfilt(sos, x)
+    err = np.max(np.abs(apply_filter(sos, x) - want))
+    assert err <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1]
+)
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_blocked_filter_matches_naive_recursion_at_block_edges(n, lead):
+    sos = design_butterworth_bandpass(FilterSpec())
+    x = np.random.default_rng(n).normal(size=(*lead, n))
+    got = apply_filter(sos, x)
+    assert got.shape == x.shape
+    want = np.array([naive_sosfilt(sos, row) for row in x.reshape(-1, n)])
+    npt.assert_allclose(got.reshape(-1, n), want, rtol=0, atol=1e-12)
+
+
+def test_sample_after_a_block_boundary_moves_no_earlier_output():
+    sos = design_butterworth_bandpass(FilterSpec())
+    x1 = np.random.default_rng(10).normal(size=(2, 4 * BLOCK))
+    x2 = x1.copy()
+    at = 2 * BLOCK + 1
+    x2[:, at] += 1.0
+    y1, y2 = apply_filter(sos, x1), apply_filter(sos, x2)
+    npt.assert_array_equal(y1[:, :at], y2[:, :at])
+    assert np.all(y1[:, at] != y2[:, at])
 
 
 class TestFrequencyResponseEvaluator:
