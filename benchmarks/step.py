@@ -24,15 +24,19 @@ run times the same arithmetic.
 
 - ``cli-conv.prepare``: ``load_corpus`` and ``prepare_recordings`` (band-pass,
   windowing, normalisation) on the ``cli-conv`` corpus at seed 1, which is
-  synthesised once into a temporary directory.  This is the work that sets
-  the ``cli-conv`` stages' peak RSS.  One more untimed run under
-  ``tracemalloc`` gives ``prepare_peak_mb``, the largest traced heap in MiB.
+  synthesised once into a temporary directory.  Every training stage does
+  this work before its first step.  One more untimed run under
+  ``tracemalloc`` gives ``prepare_peak_mb``, the largest traced heap in MiB,
+  with the raw records counted.
 - ``bandpass``: ``preprocess_recording_samples`` on the first record of that
   corpus (20 channels x 81,920 samples).
 - ``cli-conv.setup``: the wall time of a fresh ``python -m seizenet pretrain
   --dry-run`` process on that corpus, which loads, filters, windows and
   normalises it.  In-process cases hide import cost; this one counts it,
-  as every training stage pays it.
+  as every training stage pays it.  A small helper interpreter spawns it
+  (``_SPAWN``), and its ``ru_maxrss`` from ``os.wait4``, the largest over
+  the runs, gives ``setup_peak_rss_mb``: what ``perfbench`` reports as
+  peak RSS for its ``setup`` stage.
 
 The output JSON gives, per case, the repeat count, the median and the
 quartiles in ms, and every sample; ``peak_rss_mb`` is this process's
@@ -111,6 +115,21 @@ def _model_cases(sn, rng, name):
     return train, evaluate
 
 
+# Times one command and reads its ru_maxrss from os.wait4.  Linux carries the
+# RSS high-water mark of the address space a process execs from (under vfork,
+# its parent's) into the new program's ru_maxrss, so the command is spawned
+# from this fresh interpreter, which stays far below any stage's peak.
+_SPAWN = """
+import os, sys, time
+devnull = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+t0 = time.perf_counter()
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=devnull)
+_, status, usage = os.wait4(pid, 0)
+seconds = time.perf_counter() - t0
+print(seconds, usage.ru_maxrss, os.waitstatus_to_exitcode(status))
+"""
+
+
 def _corpus_cases(sn, workdir: Path, src: Path):
     workload = WORKLOADS["cli-conv"]
     corpus_cfg = workdir / "corpus.json"
@@ -157,10 +176,16 @@ def _corpus_cases(sn, workdir: Path, src: Path):
     path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
+    setup_rss_mb = []
+
     def setup(_):
-        t0 = time.perf_counter()
-        subprocess.run(dry_run, env=env, stdout=subprocess.DEVNULL, check=True)
-        return {"cli-conv.setup": time.perf_counter() - t0}
+        argv = [sys.executable, "-c", _SPAWN, *dry_run]
+        out = subprocess.run(argv, env=env, stdout=subprocess.PIPE, check=True)
+        seconds, maxrss_kib, code = out.stdout.split()
+        if int(code) != 0:
+            raise subprocess.CalledProcessError(int(code), dry_run)
+        setup_rss_mb.append(int(maxrss_kib) / 1024)  # KiB on Linux
+        return {"cli-conv.setup": float(seconds)}
 
     def peak_mb():
         tracemalloc.start()
@@ -170,7 +195,7 @@ def _corpus_cases(sn, workdir: Path, src: Path):
         finally:
             tracemalloc.stop()
 
-    return [run, bandpass, setup], peak_mb
+    return [run, bandpass, setup], peak_mb, setup_rss_mb
 
 
 def _summary(samples_s: list[float]) -> dict:
@@ -223,7 +248,9 @@ def main(argv=None) -> int:
     samples: dict[str, list[float]] = {}
     with tempfile.TemporaryDirectory(prefix="seizenet-step-") as workdir:
         src = args.src.resolve()
-        corpus_runs, prepare_peak = _corpus_cases(sn, Path(workdir), src)
+        corpus_runs, prepare_peak, setup_rss_mb = _corpus_cases(
+            sn, Path(workdir), src
+        )
         for run in [*runs, *corpus_runs]:
             run(-1)  # warm-up: first-touch allocations and BLAS setup
             for i in range(args.repeats):
@@ -245,6 +272,7 @@ def main(argv=None) -> int:
         },
         "cases": {key: _summary(vals) for key, vals in samples.items()},
         "prepare_peak_mb": prepare_peak_mb,
+        "setup_peak_rss_mb": round(max(setup_rss_mb), 1),
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
@@ -253,6 +281,7 @@ def main(argv=None) -> int:
     for key, case in result["cases"].items():
         print(f"{key:24s} median {case['median']:9.2f} ms  IQR {case['iqr']:7.2f}")
     print(f"prepare tracemalloc peak {prepare_peak_mb} MiB")
+    print(f"setup child peak RSS {result['setup_peak_rss_mb']} MiB")
     print(f"peak RSS {result['peak_rss_mb']} MiB")
     if args.out is not None:
         args.out.write_text(json.dumps(result, indent=2) + "\n")

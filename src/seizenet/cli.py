@@ -52,6 +52,7 @@ from .training import (
     FoldPlan,
     SamplerSpec,
     TrainSpec,
+    check_pretraining,
     plan_loocv,
     prepare_recordings,
     run_fold,
@@ -381,6 +382,7 @@ def cmd_pretrain(args) -> int:
     exp = load_experiment(args.config, args.seed, args.out)
     dataset = _prepare(exp, load_corpus(exp.corpus_dir))
     if args.dry_run:
+        check_pretraining(len(dataset), exp.mask)
         print(
             f"would pretrain on {len(dataset)} windows "
             f"(config hash {exp.hash[:12]})"

@@ -507,7 +507,8 @@ def load_corpus(corpus_dir: str | Path) -> list[Recording]:
     Expects ``<subject>/<record>.edf`` files, an ``annotations.csv`` keyed by
     record id, and optionally a ``manifest.json`` (used for the file list
     when present so ordering matches generation order).  Raises
-    AnnotationError for an interval that ends past its record.
+    ConfigError when the directory holds no record, and AnnotationError for
+    an interval that ends past its record.
     """
     root = Path(corpus_dir)
     ann_path = root / "annotations.csv"
@@ -526,6 +527,8 @@ def load_corpus(corpus_dir: str | Path) -> list[Recording]:
     else:
         for edf_path in sorted(root.glob("*/*.edf")):
             entries.append((edf_path.parent.name, edf_path.stem, edf_path))
+    if not entries:
+        raise ConfigError(f"corpus directory {root} holds no records")
 
     recordings = []
     for subject_id, record_id, path in entries:
@@ -549,15 +552,12 @@ def _seizure_sample_spans(seizures: list[SeizureInterval], fs: int) -> np.ndarra
     return np.array(spans, dtype=np.int64).reshape(-1, 2)
 
 
-def windows_from_recordings(
-    recordings: list[Recording], window_s: float = 8.0
-) -> WindowedDataset:
-    """Cut each recording into fixed-length windows, in record then time order.
+def window_layout(recordings: list[Recording], window_s: float) -> tuple[int, list]:
+    """Samples per window, and each record's count of whole windows.
 
-    A window is labeled 1 iff it overlaps a seizure by at least one sample;
-    each record's trailing partial window is dropped, never padded.  Raises
-    ChannelError or UnsupportedError when records differ in channel count or
-    sample rate, and ConfigError when ``window_s`` is under one sample.
+    A trailing partial window is dropped, never padded.  Raises ChannelError
+    or UnsupportedError when records differ in channel count or sample rate,
+    and ConfigError when ``window_s`` is under one sample.
     """
     if not recordings:
         raise ValueError("no recordings given")
@@ -581,8 +581,19 @@ def windows_from_recordings(
         raise ConfigError(
             f"window_s {window_s} is shorter than one sample at {fs} Hz"
         )
+    return T, [rec.n_samples // T for rec in recordings]
 
-    counts = [rec.n_samples // T for rec in recordings]
+
+def windows_from_recordings(
+    recordings: list[Recording], window_s: float = 8.0
+) -> WindowedDataset:
+    """Cut each recording into fixed-length windows, in record then time order.
+
+    A window is labeled 1 iff it overlaps a seizure by at least one sample;
+    the counts and errors are those of ``window_layout``.
+    """
+    T, counts = window_layout(recordings, window_s)
+    first, fs = recordings[0], recordings[0].sample_rate_hz
     views, labels = [], []
     for rec, n in zip(recordings, counts):
         # (C, n*T) -> (n, C, T) is a view; the one copy is the concatenate

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .eegio import WindowedDataset, windows_from_recordings
+from .eegio import WindowedDataset, window_layout, windows_from_recordings
 from .errors import ConfigError, ProtocolError, TrainError
 from .model import (
     COMPUTE_DTYPE,
@@ -129,13 +129,13 @@ def prepare_recordings(
     filter_spec: FilterSpec | None = None,
     normalization: str | None = "meanstd",
 ) -> WindowedDataset:
-    """Filter whole records, cut windows, then normalize each window.
+    """Filter, cut and normalize one record at a time.
 
-    Filtering, windowing and normalizing run in float64; each window is
-    then rounded once into its row of ``X``, a ``COMPUTE_DTYPE`` array, the
-    form in which every stage hands windows to the model.  Raises
-    ConfigError when the filter was designed for another sample rate than
-    a record's.
+    Each record is filtered and cut in float64, and each window normalized
+    and rounded once into its row of ``X`` (``COMPUTE_DTYPE``), the form in
+    which every stage hands windows to the model.  Every check runs before
+    the first filter: ConfigError for a filter designed for another sample
+    rate than a record's, then those of ``window_layout``.
     """
     if filter_spec is not None:
         for rec in recordings:
@@ -145,19 +145,21 @@ def prepare_recordings(
                     f"{rec.sample_rate_hz} Hz but the band-pass filter is "
                     f"designed for {filter_spec.sample_rate_hz} Hz"
                 )
-        recordings = [
-            replace(
+    T, counts = window_layout(recordings, window_s)
+    X = np.empty((sum(counts), recordings[0].n_channels, T), dtype=COMPUTE_DTYPE)
+    columns = []
+    for rec, start in zip(recordings, np.cumsum([0, *counts])):
+        if filter_spec is not None:
+            rec = replace(
                 rec, samples=preprocess_recording_samples(rec.samples, filter_spec)
             )
-            for rec in recordings
-        ]
-    ds = windows_from_recordings(recordings, window_s)
-    del recordings  # free the filtered copies before normalizing
-    # one window at a time, so no second full-size float64 array exists
-    X = np.empty(ds.X.shape, dtype=COMPUTE_DTYPE)
-    for cut, row in zip(ds.X, X):
-        row[...] = cut if normalization is None else normalize(cut, normalization)
-    return replace(ds, X=X)
+        part = windows_from_recordings([rec], window_s)
+        for row, cut in zip(X[start:], part.X):
+            row[...] = cut if normalization is None else normalize(cut, normalization)
+        columns.append((part.y, part.subject, part.record, part.index))
+        del rec, part  # free this record's float64 copies before the next
+    columns = map(np.concatenate, zip(*columns))  # y, subject, record, index
+    return WindowedDataset(X, *columns, window_s, recordings[0].sample_rate_hz)
 
 
 def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
@@ -308,6 +310,14 @@ def contrastive_alignment(
     }
 
 
+def check_pretraining(n_windows: int, mask_spec: MaskSpec) -> None:
+    """Raise ConfigError unless pretraining can run on ``n_windows`` windows."""
+    if mask_spec.mask_prob <= 0.0:
+        raise ConfigError("pretraining requires mask_prob > 0")
+    if n_windows < 2:
+        raise ConfigError("pretraining needs at least 2 windows")
+
+
 def run_pretraining(
     windows,
     config: ModelConfig,
@@ -319,12 +329,9 @@ def run_pretraining(
     train_spec: TrainSpec = TrainSpec(),
 ) -> TrainResult:
     """Masked contrastive training with a held-out window validation split."""
-    if mask_spec.mask_prob <= 0.0:
-        raise ConfigError("pretraining requires mask_prob > 0")
     X = np.asarray(windows)
     n = len(X)
-    if n < 2:
-        raise ConfigError("pretraining needs at least 2 windows")
+    check_pretraining(n, mask_spec)
 
     order = rng.child("split").permutation(n)
     n_val = max(1, int(round(train_spec.validation_fraction * n)))

@@ -467,6 +467,25 @@ class TestConfigErrors:
             hashes.append(exp.hash)
         assert hashes[0] == hashes[1]
 
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry"])
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # 64 s records hold no 100 s window
+            ({"window_s": 100.0}, "pretraining needs at least 2 windows"),
+            ({"mask": {"mask_prob": 0.0}}, "pretraining requires mask_prob > 0"),
+        ],
+    )
+    def test_pretrain_dry_run_rejects_what_pretrain_rejects(
+        self, workdir, tmp_path, capsys, overrides, message, dry_run
+    ):
+        out = tmp_path / "out"
+        exp = experiment_dict(workdir["corpus_dir"], out, **overrides)
+        cfg = write_json(tmp_path / "exp.json", exp)
+        assert main(["pretrain", "--config", str(cfg), *dry_run]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jobs_must_be_positive(self, workdir):
         assert (
             main(
@@ -519,6 +538,29 @@ class TestDryRunsPlanFromTheCorpus:
 
 
 class TestCorruptCorpus:
+    @pytest.fixture(autouse=True)
+    def no_filtering(self, monkeypatch):
+        # every corpus check runs before the first record is filtered
+        def explode(*args, **kwargs):
+            raise RuntimeError("a record was filtered before the checks ran")
+
+        monkeypatch.setattr("seizenet.training.preprocess_recording_samples", explode)
+
+    @pytest.mark.parametrize("exists", [True, False], ids=["empty", "missing"])
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry"])
+    @pytest.mark.parametrize("stage", ["pretrain", "second-pretrain", "loocv"])
+    def test_corpus_without_records_is_config_error(
+        self, tmp_path, capsys, stage, dry_run, exists
+    ):
+        corpus = tmp_path / "corpus"
+        if exists:
+            corpus.mkdir()
+        exp = experiment_dict(corpus, tmp_path / "out")
+        cfg = write_json(tmp_path / "exp.json", exp)
+        assert main([stage, "--config", str(cfg), *dry_run]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: corpus directory {corpus} holds no records" in err
+
     def test_annotation_past_record_end_is_config_error(
         self, workdir, tmp_path, capsys
     ):

@@ -152,39 +152,82 @@ class TestPrepareRecordings:
             high = freqs >= 20.0
             assert pow_a[:, high].sum() < 0.3 * pow_b[:, high].sum()
 
+    def test_holds_one_record_in_float64_at_a_time(self):
+        # the records exist before tracing starts, as once load_corpus returns
+        rng = np.random.default_rng(0)
+        recordings = [
+            Recording(
+                subject_id=f"s{i // 2}",
+                record_id=f"r{i}",
+                sample_rate_hz=64,
+                channels=["A", "B", "C", "D"],
+                samples=rng.normal(size=(4, 64 * 128)),
+            )
+            for i in range(8)
+        ]
+        spec = FilterSpec(order=4, low_hz=0.5, high_hz=20.0, sample_rate_hz=64)
+        tracemalloc.start()
+        try:
+            ds = prepare_recordings(recordings, window_s=2.0, filter_spec=spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a filtered copy and a float64 cut of the whole corpus peak at 16
+        # records' worth, X plus 12; one record at a time adds about 3.5 to X
+        assert peak < ds.X.nbytes + 6 * recordings[0].samples.nbytes
+
 
 class TestColumnarStore:
     """The column store against the per-window copies it replaced."""
 
     @pytest.mark.parametrize("method", ["meanstd", "minmax", None])
     def test_matches_per_window_reference(self, method):
+        spec = FilterSpec(order=4, low_hz=0.5, high_hz=20.0, sample_rate_hz=64)
+        self._check_against_reference(method, spec)
+
+    @pytest.mark.parametrize("method", ["meanstd", "minmax", None])
+    def test_matches_per_window_reference_unfiltered(self, method):
+        self._check_against_reference(method, None)
+
+    @staticmethod
+    def _check_against_reference(method, spec):
         recordings = [
             generate_recording(CORPUS, s, r)
             for s in range(CORPUS.subjects)
             for r in range(CORPUS.records_per_subject)
         ]
+        rng = np.random.default_rng(0)
+
+        def record(subject_id, record_id, n_samples, seizures):
+            return Recording(
+                subject_id=subject_id,
+                record_id=record_id,
+                sample_rate_hz=64,
+                channels=["A", "B"],
+                samples=rng.normal(size=(2, n_samples)),
+                seizures=[SeizureInterval(a, b) for a, b in seizures],
+            )
+
         # seizures covering only the last sample before a window edge, only
         # the first sample after one, and ending exactly on one
         edges = [(127 / 64, 2.0), (4.0, 4.0 + 1 / 64), (9.0, 10.0)]
-        recordings.append(
-            Recording(
-                subject_id="s03",
-                record_id="s03_r00",
-                sample_rate_hz=64,
-                channels=["A", "B"],
-                samples=np.random.default_rng(0).normal(size=(2, 64 * 16)),
-                seizures=[SeizureInterval(a, b) for a, b in edges],
-            )
-        )
-        spec = FilterSpec(order=4, low_hz=0.5, high_hz=20.0, sample_rate_hz=64)
+        recordings += [
+            record("s03", "s03_r00", 64 * 16, edges),
+            # no whole window, between two records that have some
+            record("s04", "s04_short", 100, [(0.5, 1.0)]),
+            # two windows and a partial one that holds the only seizure
+            record("s04", "s04_r01", 2 * 128 + 101, [(4.5, 5.5)]),
+        ]
         ds = prepare_recordings(
             recordings, window_s=2.0, filter_spec=spec, normalization=method
         )
 
         T = 128
-        cuts, windows, labels, records = [], [], [], []
+        cuts, windows, labels, records, indices = [], [], [], [], []
         for rec in recordings:
-            samples = preprocess_recording_samples(rec.samples, spec)
+            samples = rec.samples
+            if spec is not None:
+                samples = preprocess_recording_samples(samples, spec)
             spans = [
                 (int(np.floor(iv.start_s * 64)), int(np.ceil(iv.end_s * 64)))
                 for iv in rec.seizures
@@ -204,6 +247,7 @@ class TestColumnarStore:
                 windows.append(window)
                 labels.append(int(any(max(a, s) < min(b, e) for s, e in spans)))
                 records.append(rec.record_id)
+                indices.append(k)
 
         # float64 up to the store, which rounds each window once
         reference = np.stack(windows)
@@ -216,10 +260,15 @@ class TestColumnarStore:
         assert np.array_equal(ds.labels(), labels)
         assert ds.labels().dtype == np.int64 and 0 < sum(labels) < len(labels)
         assert [w.record_id for w in ds] == records
-        assert ds.subject_ids() == ["s00", "s01", "s02", "s03"]
+        assert ds.index.dtype == np.int64 and ds.index.tolist() == indices
+        # the string columns are as wide as the longest id, windows or not
+        assert ds.record.dtype == np.array([r.record_id for r in recordings]).dtype
+        assert ds.subject_ids() == ["s00", "s01", "s02", "s03", "s04"]
         assert ds.subset(lambda w: w.subject_id == "s03").labels().tolist() == [
             1, 0, 1, 0, 1, 0, 0, 0
         ]
+        tail = ds.subset(lambda w: w.subject_id == "s04")
+        assert tail.record_ids() == ["s04_r01"] and tail.labels().tolist() == [0, 0]
 
     def test_matrix_is_the_store_and_subset_keeps_order(self, dataset):
         X = dataset.matrix()
