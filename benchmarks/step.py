@@ -1,4 +1,4 @@
-"""Microbenchmark of GELU, one train step, one eval forward, ingest and setup.
+"""Microbenchmark of GELU, conv, one train step, one eval forward, ingest and setup.
 
 Run from anywhere; ``--src`` picks the seizenet source tree to time, so the
 same script measures a checkout and its parent side by side:
@@ -11,6 +11,9 @@ Cases, each run once untimed and then ``--repeats`` times in this process:
 
 - ``gelu.forward`` and ``gelu.backward``: ``nn.gelu`` on a (32, 64, 683)
   float32 array, the activation of conv block 0 on ``cli-conv``;
+- ``conv.forward`` and ``conv.backward``: ``nn.conv1d`` at conv block 1 of
+  ``cli-conv``, a (32, 64, 682) float32 input that needs a gradient, a
+  (64, 64, 2) weight, a bias and stride 2;
 - ``<shape>.train_step``: ``zero_grads``, ``forward_classifier`` with
   dropout, ``sswce_loss``, ``backward`` and ``adam_step``, the step that
   second pretraining and every LOOCV fold take;
@@ -20,7 +23,9 @@ at the model, window and batch shapes of the ``cli-conv`` and ``cli-attn``
 workloads, read from ``perfbench/workloads.py``: 20 channels x 2048
 samples, width 64, 4 transformer layers, with 6 conv blocks at batch 32
 and 3 conv blocks at batch 16.  Inputs are seeded normal draws, so every
-run times the same arithmetic.
+run times the same arithmetic.  One more untimed train step per shape,
+under ``tracemalloc``, gives ``tape_peak_mb``: the largest traced heap in
+MiB over the step, which the tape of the forward sets.
 
 - ``cli-conv.prepare``: ``load_corpus`` and ``prepare_recordings`` (band-pass,
   windowing, normalisation) on the ``cli-conv`` corpus at seed 1, which is
@@ -65,6 +70,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 GELU_SHAPE = (32, 64, 683)
+CONV_SHAPE, CONV_KERNEL = (32, 64, 682), 2
 
 
 def _gelu_case(sn, rng):
@@ -79,6 +85,27 @@ def _gelu_case(sn, rng):
         out.backward(g)
         t2 = time.perf_counter()
         return {"gelu.forward": t1 - t0, "gelu.backward": t2 - t1}
+
+    return run
+
+
+def _conv_case(sn, rng):
+    x_data = rng.normal(size=CONV_SHAPE).astype(np.float32)
+    c_in = CONV_SHAPE[1]
+    w_data = rng.normal(size=(c_in, c_in, CONV_KERNEL)).astype(np.float32)
+    g = rng.normal(size=(*CONV_SHAPE[:2], CONV_SHAPE[2] // CONV_KERNEL))
+    g = g.astype(np.float32)
+
+    def run(_):
+        x = sn.nn.Tensor(x_data, requires_grad=True)
+        w = sn.nn.Tensor(w_data, requires_grad=True)
+        b = sn.nn.Tensor(np.zeros(c_in, np.float32), requires_grad=True)
+        t0 = time.perf_counter()
+        out = sn.nn.conv1d(x, w, b, stride=CONV_KERNEL)
+        t1 = time.perf_counter()
+        out.backward(g)
+        t2 = time.perf_counter()
+        return {"conv.forward": t1 - t0, "conv.backward": t2 - t1}
 
     return run
 
@@ -112,7 +139,15 @@ def _model_cases(sn, rng, name):
             sn.model.forward_classifier(config, params, windows)
         return {f"{name}.eval_forward": time.perf_counter() - t0}
 
-    return train, evaluate
+    def tape_peak_mb():
+        tracemalloc.start()
+        try:
+            train(-2)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    return [train, evaluate], tape_peak_mb
 
 
 # Times one command and reads its ru_maxrss from os.wait4.  Linux carries the
@@ -241,9 +276,11 @@ def main(argv=None) -> int:
 
     sn = seizenet
     rng = np.random.default_rng(0)
-    runs = [_gelu_case(sn, rng)]
+    runs = [_gelu_case(sn, rng), _conv_case(sn, rng)]
+    tape_peaks = {}
     for name in ("cli-conv", "cli-attn"):
-        runs.extend(_model_cases(sn, rng, name))
+        model_runs, tape_peaks[name] = _model_cases(sn, rng, name)
+        runs.extend(model_runs)
 
     samples: dict[str, list[float]] = {}
     with tempfile.TemporaryDirectory(prefix="seizenet-step-") as workdir:
@@ -258,6 +295,7 @@ def main(argv=None) -> int:
                     samples.setdefault(key, []).append(seconds)
                 print(".", end="", file=sys.stderr, flush=True)
         prepare_peak_mb = round(prepare_peak(), 1)
+        tape_peak_mb = {name: round(peak(), 1) for name, peak in tape_peaks.items()}
     print(file=sys.stderr)
 
     result = {
@@ -271,6 +309,7 @@ def main(argv=None) -> int:
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
         "cases": {key: _summary(vals) for key, vals in samples.items()},
+        "tape_peak_mb": tape_peak_mb,
         "prepare_peak_mb": prepare_peak_mb,
         "setup_peak_rss_mb": round(max(setup_rss_mb), 1),
         # ru_maxrss is in KiB on Linux
@@ -280,6 +319,8 @@ def main(argv=None) -> int:
     }
     for key, case in result["cases"].items():
         print(f"{key:24s} median {case['median']:9.2f} ms  IQR {case['iqr']:7.2f}")
+    for name, peak_mb in tape_peak_mb.items():
+        print(f"{name} train step tracemalloc peak {peak_mb} MiB")
     print(f"prepare tracemalloc peak {prepare_peak_mb} MiB")
     print(f"setup child peak RSS {result['setup_peak_rss_mb']} MiB")
     print(f"peak RSS {result['peak_rss_mb']} MiB")

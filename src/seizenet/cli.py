@@ -541,6 +541,7 @@ def cmd_loocv(args) -> int:
         return 0
 
     dataset = _prepare(exp, recordings)
+    del recordings  # the float64 corpus, before the per-subject copies
     init_by_subject: dict[str, tuple | None] = {}
     for subject in subjects:
         if exp.init_policy == "random":
@@ -551,13 +552,13 @@ def cmd_loocv(args) -> int:
             )
 
     # subsets are copies: build one per subject, shared by its folds, and
-    # drop the full dataset and the raw records before any fold trains
+    # drop the full dataset before any fold trains
     by_subject = {
         subject: dataset.subset(lambda w, s=subject: w.subject_id == s)
         for subject in subjects
     }
     sample_rate_hz = dataset.sample_rate_hz
-    del recordings, dataset
+    del dataset
     tasks = (
         plans,
         [by_subject[plan.subject_id] for plan in plans],

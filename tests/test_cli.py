@@ -12,13 +12,14 @@ import json
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from seizenet.cli import load_experiment, main
-from seizenet.eegio import Recording, write_edf_file
+from seizenet.eegio import Recording, WindowedDataset, load_corpus, write_edf_file
 from seizenet.errors import NumericsError, SeizenetError, TrainError
 
 CORPUS_SPEC = {
@@ -254,6 +255,39 @@ class TestLoocv:
         assert len(plans) == 6
         assert {p["subject"] for p in plans} == {"s00", "s01"}
         assert not (tmp_path / "out").exists()
+
+    def test_raw_records_are_freed_before_the_subject_subsets(
+        self, workdir, tmp_path, monkeypatch
+    ):
+        # the float64 corpus must not coexist with the per-subject copies
+        loaded = []
+
+        def tracked_load_corpus(corpus_dir):
+            recordings = load_corpus(corpus_dir)
+            loaded.extend(weakref.ref(rec) for rec in recordings)
+            return recordings
+
+        class Stop(Exception):
+            pass
+
+        alive_at_subset = []
+
+        def subset(self, predicate):
+            alive_at_subset.append(sum(ref() is not None for ref in loaded))
+            raise Stop
+
+        monkeypatch.setattr("seizenet.cli.load_corpus", tracked_load_corpus)
+        monkeypatch.setattr(WindowedDataset, "subset", subset)
+        cfg = write_json(
+            tmp_path / "exp.json",
+            experiment_dict(
+                workdir["corpus_dir"], tmp_path / "out", init_policy="random"
+            ),
+        )
+        with pytest.raises(Stop):
+            main(["loocv", "--config", str(cfg)])
+        assert len(loaded) == 6
+        assert alive_at_subset == [0]
 
     def test_too_few_records_is_protocol_error(self, tmp_path, capsys):
         spec = dict(CORPUS_SPEC, records_per_subject=1)

@@ -3,12 +3,14 @@ central finite differences, graph release and ``no_grad``, and the
 checkpoint container format."""
 
 import math
+import tracemalloc
 import weakref
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from seizenet.errors import CheckpointError, NumericsError, ShapeError
 from seizenet.nn import (
@@ -31,6 +33,7 @@ from seizenet.nn import (
     save_checkpoint,
     softmax,
 )
+from seizenet.nn import ops
 from seizenet.nn.ops import _CDF_BLOCK, _normal_cdf
 from seizenet.model import ModelConfig, forward_classifier, init_weights
 from seizenet.preprocess import normalize
@@ -208,6 +211,44 @@ class TestNoGrad:
         assert taped and not any(taped)
 
 
+class TestTapeMemory:
+    def test_training_forward_keeps_no_copies_on_the_tape(self):
+        # per element of a conv block's output the tape needs the conv output,
+        # the dropout output, the group norm output, GELU's cdf and output
+        # (float32 each) and a one-byte dropout mask: 21 bytes; the input
+        # window and the transformer add ~6 more at this shape.  A saved
+        # im2col matrix, a float32 mask or group norm's z each add 3 or more
+        config = ModelConfig(
+            in_channels=4,
+            conv_blocks=6,
+            conv_channels=16,
+            transformer_layers=2,
+            heads=4,
+            model_dim=16,
+            ffn_dim=32,
+            classifier_dims=((16, 8), (8, 2)),
+            group_norm_groups=4,
+            pos_conv_kernel=5,
+            pos_conv_groups=4,
+        )
+        params = init_weights(config, "random", Rng(47).child("init"))
+        n, length = 4, 96 * 32 + 5
+        X = Rng(48).child("x").normal(size=(n, 4, length)).astype(np.float32)
+        forward_classifier(config, params, X, rng=Rng(49), training=True)
+        tracemalloc.start()
+        try:
+            probs = forward_classifier(config, params, X, rng=Rng(49), training=True)
+            tape = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert probs.requires_grad
+        activations = 0
+        for stride in config.conv_strides:
+            length //= stride
+            activations += n * config.conv_channels * length
+        assert tape < 29 * activations
+
+
 class TestConv1d:
     def test_hand_sum_stride_2(self):
         x = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
@@ -317,6 +358,101 @@ class TestConv1d:
         assert np.array_equal(x.grad, gxp[:, :, padding : padding + length])
 
 
+def _im2col_conv1d(x, w, b, stride, gy):
+    """The im2col kernel that conv1d ran for every shape before the patch
+    path, for (N, C_in, L) input, one group and no padding: the output and
+    the input, weight and bias gradients for the output gradient ``gy``."""
+    n, c_in, _ = x.shape
+    c_out, _, k = w.shape
+    win = sliding_window_view(x, k, axis=2)[:, :, ::stride]
+    l_out = win.shape[2]
+    cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(n * l_out, -1)
+    wmat = w.reshape(c_out, c_in * k)
+    y = (cols @ wmat.T).reshape(n, l_out, c_out).transpose(0, 2, 1)
+    if b is not None:
+        y = y + b[:, None]
+    gy_mat = np.ascontiguousarray(gy.transpose(0, 2, 1)).reshape(n * l_out, c_out)
+    gw = (gy_mat.T @ cols).reshape(w.shape)
+    gwin = (gy_mat @ wmat).reshape(n, l_out, c_in, k).transpose(0, 2, 1, 3)
+    gx = np.zeros_like(x)
+    span = stride * (l_out - 1) + 1
+    for kk in range(k):
+        gx[:, :, kk : kk + span : stride] += gwin[:, :, :, kk]
+    return y, gx, gw, gy.sum(axis=(0, 2))
+
+
+class TestPatchConv:
+    """conv1d with kernel == stride, no padding and one group (every encoder
+    conv) takes the patch path; checked against the im2col kernel."""
+
+    @pytest.fixture(autouse=True)
+    def no_im2col(self, monkeypatch):
+        def explode(*args, **kwargs):
+            raise AssertionError("a kernel == stride conv built an im2col matrix")
+
+        monkeypatch.setattr(ops, "_im2col", explode)
+
+    @pytest.mark.parametrize(
+        "n, c_in, length, k",
+        [(3, 4, 37, 3), (2, 5, 38, 4), (2, 3, 24, 2), (2, 3, 9, 1), (1, 2, 5, 5)],
+    )
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_matches_the_im2col_kernel(self, n, c_in, length, k, with_bias):
+        rng = Rng(40).child("patch", n, length, k)
+        x = rand_tensor(rng, n, c_in, length)
+        w = rand_tensor(rng, 6, c_in, k)
+        b = rand_tensor(rng, 6) if with_bias else None
+        y = conv1d(x, w, b, stride=k)
+        gy = rng.normal(size=y.shape)
+        y.backward(gy)
+        want = _im2col_conv1d(x.data, w.data, b and b.data, k, gy)
+        got = [y.data, x.grad, w.grad] + ([b.grad] if b else [])
+        for have, expected in zip(got, want):
+            assert have.shape == expected.shape
+            npt.assert_allclose(have, expected, rtol=1e-12, atol=1e-12)
+        if length % k:
+            assert not x.grad[:, :, length - length % k :].any()
+
+    def test_unbatched_input_and_frozen_weight(self):
+        rng = Rng(41).child("patch")
+        x = rand_tensor(rng, 4, 23)
+        w = Tensor(rng.normal(size=(6, 4, 3)))
+        b = rand_tensor(rng, 6)
+        y = conv1d(x, w, b, stride=3)
+        assert y.shape == (6, 7)
+        gy = rng.normal(size=y.shape)
+        y.backward(gy)
+        want_y, want_gx, _, want_gb = _im2col_conv1d(
+            x.data[None], w.data, b.data, 3, gy[None]
+        )
+        npt.assert_allclose(y.data, want_y[0], rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(x.grad, want_gx[0], rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(b.grad, want_gb, rtol=1e-12, atol=1e-12)
+        assert w.grad is None
+
+    def test_input_that_needs_no_gradient(self):
+        rng = Rng(42).child("patch")
+        x = Tensor(rng.normal(size=(3, 4, 20)))
+        w = rand_tensor(rng, 5, 4, 2)
+        y = conv1d(x, w, stride=2)
+        gy = rng.normal(size=y.shape)
+        y.backward(gy)
+        _, _, want_gw, _ = _im2col_conv1d(x.data, w.data, None, 2, gy)
+        npt.assert_allclose(w.grad, want_gw, rtol=1e-12, atol=1e-12)
+        assert x.grad is None
+
+    def test_finite_difference_gradients(self):
+        rng = Rng(43).child("patch")
+        x = rand_tensor(rng, 2, 3, 20)  # 20 mod 3 = 2 samples no window reads
+        w = rand_tensor(rng, 4, 3, 3, scale=0.5)
+        b = rand_tensor(rng, 4)
+        report = grad_check(
+            lambda xx, ww, bb: (conv1d(xx, ww, bb, stride=3) ** 2).sum(),
+            [x, w, b],
+        )
+        assert report.max_rel_err < 1e-5
+
+
 class TestGroupNorm:
     def test_constant_input_maps_to_zeros(self):
         x = Tensor(np.full((4, 6), 3.3))
@@ -352,6 +488,41 @@ class TestGroupNorm:
             [x, gamma, beta],
         )
         assert report.passed(1e-4)
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_match_the_kernel_that_saved_z(self, dtype):
+        rng = Rng(44).child("g")
+        n, c, length, groups = 3, 8, 50, 4
+        x = rng.normal(loc=-1.0, scale=2.0, size=(n, c, length)).astype(dtype)
+        gamma = rng.uniform(-1.5, 1.5, size=c).astype(dtype)
+        beta = rng.normal(size=c).astype(dtype)
+        gy = rng.normal(size=x.shape).astype(dtype)
+        # the forward and backward that kept z on the tape, inline
+        xg = x.reshape(n, groups, c // groups, length)
+        mu = xg.mean(axis=(2, 3), keepdims=True)
+        inv_std = 1.0 / np.sqrt(xg.var(axis=(2, 3), keepdims=True) + 1e-5)
+        z = (xg - mu) * inv_std
+        zc = z.reshape(n, c, length)
+        want_y = zc * gamma[:, None] + beta[:, None]
+        want_ggamma = (gy * zc).sum(axis=(0, 2))
+        want_gbeta = gy.sum(axis=(0, 2))
+        ghat = (gy * gamma[:, None]).reshape(n, groups, c // groups, length)
+        ghat_mean = ghat.mean(axis=(2, 3), keepdims=True)
+        ghat_z_mean = (ghat * z).mean(axis=(2, 3), keepdims=True)
+        want_gx = ((ghat - ghat_mean - z * ghat_z_mean) * inv_std).reshape(x.shape)
+
+        xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        y = group_norm(xt, groups, gt, bt)
+        y.backward(gy)
+        for have, want in [
+            (y.data, want_y),
+            (xt.grad, want_gx),
+            (gt.grad, want_ggamma),
+            (bt.grad, want_gbeta),
+        ]:
+            assert have.dtype == want.dtype == dtype
+            assert have.tobytes() == want.tobytes()
 
 
 class TestLayerNorm:
@@ -489,6 +660,24 @@ class TestElementwiseOps:
         with pytest.raises(ConfigError):
             dropout(Tensor(np.ones(3)), 1.0, Rng(1), training=True)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_bytes_match_the_float_mask_kernel(self, dtype, p):
+        rng = Rng(45).child("d")
+        x = rng.normal(scale=3.0, size=(4, 16, 300)).astype(dtype)
+        x[0, 0, :4] = [0.0, -0.0, -1e-30, -3.0]
+        g = rng.normal(size=x.shape).astype(dtype)
+        # the kernel that kept a mask of x's dtype on the tape, inline
+        mask = (Rng(46).child("mask").uniform(size=x.shape) >= p).astype(dtype)
+        mask = mask / (1.0 - p)
+        t = Tensor(x, requires_grad=True)
+        out = dropout(t, p, Rng(46).child("mask"), training=True)
+        out.backward(g)
+        assert out.data.dtype == t.grad.dtype == dtype
+        assert out.data.tobytes() == (x * mask).tobytes()
+        assert t.grad.tobytes() == (g * mask).tobytes()
+        assert np.signbit(out.data[x < 0]).all()
+
 
 def _exact_cdf(x):
     """Phi in float64 from math.erf, one element at a time."""
@@ -498,7 +687,7 @@ def _exact_cdf(x):
 
 def _scipy_gelu(x, g):
     """The scipy-erf GELU kernel this one replaced: output and input gradient."""
-    from scipy.special import erf
+    erf = pytest.importorskip("scipy.special").erf
 
     cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
     pdf = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x**2)
