@@ -14,6 +14,10 @@ Cases, each run once untimed and then ``--repeats`` times in this process:
 - ``conv.forward`` and ``conv.backward``: ``nn.conv1d`` at conv block 1 of
   ``cli-conv``, a (32, 64, 682) float32 input that needs a gradient, a
   (64, 64, 2) weight, a bias and stride 2;
+- ``pos_conv.forward`` and ``pos_conv.backward``: ``nn.conv1d`` as the
+  positional conv of ``cli-attn`` runs it, on the channels-first view of a
+  (16, 172, 64) float32 sequence batch, with a (64, 4, 25) weight, a bias,
+  stride 1, padding 12 and 16 groups;
 - ``<shape>.train_step``: ``zero_grads``, ``forward_classifier`` with
   dropout, ``sswce_loss``, ``backward`` and ``adam_step``, the step that
   second pretraining and every LOOCV fold take;
@@ -71,6 +75,8 @@ from workloads import WORKLOADS  # noqa: E402
 
 GELU_SHAPE = (32, 64, 683)
 CONV_SHAPE, CONV_KERNEL = (32, 64, 682), 2
+# cli-attn: 170 positions plus the special token, width 64
+POS_SHAPE, POS_KERNEL, POS_GROUPS = (16, 172, 64), 25, 16
 
 
 def _gelu_case(sn, rng):
@@ -89,30 +95,30 @@ def _gelu_case(sn, rng):
     return run
 
 
-def _conv_case(sn, rng):
-    x_data = rng.normal(size=CONV_SHAPE).astype(np.float32)
-    c_in = CONV_SHAPE[1]
-    w_data = rng.normal(size=(c_in, c_in, CONV_KERNEL)).astype(np.float32)
-    g = rng.normal(size=(*CONV_SHAPE[:2], CONV_SHAPE[2] // CONV_KERNEL))
-    g = g.astype(np.float32)
+def _conv_case(sn, rng, name, x_data, w_shape, stride, padding=0, groups=1):
+    n, _, length = x_data.shape
+    c_out, _, k = w_shape
+    w_data = rng.normal(size=w_shape).astype(np.float32)
+    l_out = (length + 2 * padding - k) // stride + 1
+    g = rng.normal(size=(n, c_out, l_out)).astype(np.float32)
 
     def run(_):
         x = sn.nn.Tensor(x_data, requires_grad=True)
         w = sn.nn.Tensor(w_data, requires_grad=True)
-        b = sn.nn.Tensor(np.zeros(c_in, np.float32), requires_grad=True)
+        b = sn.nn.Tensor(np.zeros(c_out, np.float32), requires_grad=True)
         t0 = time.perf_counter()
-        out = sn.nn.conv1d(x, w, b, stride=CONV_KERNEL)
+        out = sn.nn.conv1d(x, w, b, stride, padding, groups)
         t1 = time.perf_counter()
         out.backward(g)
         t2 = time.perf_counter()
-        return {"conv.forward": t1 - t0, "conv.backward": t2 - t1}
+        return {f"{name}.forward": t1 - t0, f"{name}.backward": t2 - t1}
 
     return run
 
 
 def _model_cases(sn, rng, name):
     workload = WORKLOADS[name]
-    config = sn.model.ModelConfig.from_dict(workload.experiment["model"])
+    config = sn.model.ModelConfig(**workload.experiment["model"])
     params = sn.model.init_weights(config, "random", sn.rand.Rng(1).child("init"))
     samples = int(workload.experiment["window_s"] * workload.corpus["sample_rate_hz"])
     shape = (workload.batch_size, config.in_channels, samples)
@@ -276,11 +282,22 @@ def main(argv=None) -> int:
 
     sn = seizenet
     rng = np.random.default_rng(0)
-    runs = [_gelu_case(sn, rng), _conv_case(sn, rng)]
+    conv_x = rng.normal(size=CONV_SHAPE).astype(np.float32)
+    c_in = CONV_SHAPE[1]
+    runs = [
+        _gelu_case(sn, rng),
+        _conv_case(sn, rng, "conv", conv_x, (c_in, c_in, CONV_KERNEL), CONV_KERNEL),
+    ]
     tape_peaks = {}
     for name in ("cli-conv", "cli-attn"):
         model_runs, tape_peaks[name] = _model_cases(sn, rng, name)
         runs.extend(model_runs)
+    # the model feeds the positional conv a transposed view, not a copy
+    pos_x = rng.normal(size=POS_SHAPE).astype(np.float32).transpose(0, 2, 1)
+    d = POS_SHAPE[2]
+    pos_w = (d, d // POS_GROUPS, POS_KERNEL)
+    pos_pad = POS_KERNEL // 2
+    runs.append(_conv_case(sn, rng, "pos_conv", pos_x, pos_w, 1, pos_pad, POS_GROUPS))
 
     samples: dict[str, list[float]] = {}
     with tempfile.TemporaryDirectory(prefix="seizenet-step-") as workdir:

@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import repeat
 from pathlib import Path
 
@@ -108,21 +108,47 @@ class Experiment:
     hash: str
 
 
-def _build_section(cls, section: dict, name: str):
-    try:
-        return cls(**section)
-    except TypeError as err:
-        raise ConfigError(f"bad {name!r} section: {err}") from None
-
-
 def _integral(value, name: str) -> int:
-    """``int(value)``, else ConfigError naming ``name``: 3.0 is 3, 3.9 is refused."""
+    """``int(value)``, else ConfigError naming ``name``: 3.0 is 3; 3.9 and
+    booleans are refused."""
     try:
-        if isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer()
+        ):
             raise ValueError(value)
         return int(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+# how many list levels down a field's integers sit, by its annotation
+_INTEGER_DEPTH = {"int": 0, "tuple[int, ...]": 1, "tuple[tuple[int, int], ...]": 2}
+
+
+def _integers(value, name: str, depth: int):
+    """``value`` with ``_integral`` applied ``depth`` list levels down."""
+    if depth == 0:
+        return _integral(value, name)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return [_integers(v, f"{name}[{i}]", depth - 1) for i, v in enumerate(value)]
+
+
+def _build_section(cls, section: dict, name: str):
+    """``cls(**section)``, with every integer field through ``_integral``, so
+    4.0 loads as 4 and hashes as 4."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"bad {name!r} section: expected an object")
+    depth = {f.name: _INTEGER_DEPTH.get(f.type) for f in fields(cls)}
+    section = {
+        key: value if depth.get(key) is None
+        else _integers(value, f"{name}.{key}", depth[key])
+        for key, value in section.items()
+    }
+    try:
+        return cls(**section)
+    except TypeError as err:
+        raise ConfigError(f"bad {name!r} section: {err}") from None
 
 
 def load_experiment(
@@ -155,10 +181,7 @@ def load_experiment(
             f"window_s must be a positive number, got {raw['window_s']!r}"
         )
 
-    try:
-        model = ModelConfig.from_dict(raw.get("model", {}))
-    except TypeError as err:
-        raise ConfigError(f"bad 'model' section: {err}") from None
+    model = _build_section(ModelConfig, raw.get("model", {}), "model")
     mask = _build_section(MaskSpec, raw.get("mask", {}), "mask")
     contrastive = _build_section(
         ContrastiveSpec, raw.get("contrastive", {}), "contrastive"
@@ -186,10 +209,7 @@ def load_experiment(
     elif filter_section is None:
         filter_spec = None
     elif isinstance(filter_section, dict):
-        if "order" in filter_section:
-            order = _integral(filter_section["order"], "preprocess.filter order")
-            filter_section = {**filter_section, "order": order}
-        filter_spec = _build_section(FilterSpec, filter_section, "filter")
+        filter_spec = _build_section(FilterSpec, filter_section, "preprocess.filter")
     else:
         raise ConfigError("preprocess.filter must be null, 'default', or an object")
     normalization = preprocess.get("normalization", "meanstd")
@@ -565,8 +585,9 @@ def cmd_loocv(args) -> int:
         [init_by_subject[plan.subject_id] for plan in plans],
         repeat(exp),
     )
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(plans))  # a pool forks all its workers up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_fold_task, *tasks))
     else:
         outcomes = list(map(_fold_task, *tasks))

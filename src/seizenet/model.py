@@ -163,17 +163,6 @@ class ModelConfig:
             "pos_conv_groups": self.pos_conv_groups,
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["conv_strides"] = tuple(d.get("conv_strides", ()))
-        d["classifier_dims"] = tuple(
-            tuple(p) for p in d.get(
-                "classifier_dims", ((512, 256), (256, 128), (128, 64), (64, 2))
-            )
-        )
-        return ModelConfig(**d)
-
 
 @dataclass(frozen=True)
 class MaskSpec:

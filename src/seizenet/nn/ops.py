@@ -143,26 +143,17 @@ def _conv_shape_check(x, weight, stride, padding, groups):
     return n, c_in, length, c_out, k
 
 
-def _patches(x: np.ndarray, k: int) -> np.ndarray:
-    """(N, C, L) -> (N, C*K, L // K): column j holds x[:, c, j*K + kk] at row
-    c*K + kk, the kernel == stride windows with no overlap or gap."""
-    n, c, length = x.shape
-    l_out = length // k
-    win = x[:, :, : l_out * k].reshape(n, c, l_out, k)
-    return np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(n, c * k, l_out)
-
-
-def _im2col(x, k, stride, padding, groups):
-    """(N, C_in, L) -> (g, N*L_out, C_in/g*K): the (N, C_in, L_out, K) windows
-    of the padded input, flattened per group for one batched matmul."""
+def _windows(x, k, stride, padding, groups):
+    """(N, C_in, L) -> (N, g, C_in/g*K, L_out): column j of group g's matrix
+    holds window j of the padded input, tap kk of channel c at row c*K + kk,
+    so tap kk of every window is one strided slice of the input."""
     n, c_in, _ = x.shape
-    g = groups
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding))) if padding else x
     win = sliding_window_view(xp, k, axis=2)[:, :, ::stride]
     l_out = win.shape[2]
-    return np.ascontiguousarray(
-        win.reshape(n, g, c_in // g, l_out, k).transpose(1, 0, 3, 2, 4)
-    ).reshape(g, n * l_out, (c_in // g) * k)
+    return np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(
+        n, groups, (c_in // groups) * k, l_out
+    )
 
 
 def conv1d(
@@ -178,8 +169,8 @@ def conv1d(
     ``x`` is (C_in, L) or (N, C_in, L); ``weight`` is (C_out, C_in/groups, K).
     Output length is floor((L + 2*padding - K)/stride) + 1.
 
-    Neither path keeps its patch matrix for backward: the weight gradient
-    rebuilds it from the input, which the tape holds anyway.
+    The window matrix is not kept for backward: the weight gradient rebuilds
+    it from the input, which the tape holds anyway.
     """
     squeeze = x.ndim == 2
     xb = x.reshape(1, *x.shape) if squeeze else x
@@ -187,60 +178,27 @@ def conv1d(
         xb.data, weight.data, stride, padding, groups
     )
     l_out = (length + 2 * padding - k) // stride + 1
-    if k == stride and padding == 0 and groups == 1:
-        # the encoder convs: (C_out, C_in*K) @ (N, C_in*K, L_out) writes the
-        # (N, C_out, L_out) output directly
-        wmat = weight.data.reshape(c_out, c_in * k)
-        y = wmat @ _patches(xb.data, k)
+    g = groups
+    # (g, C_out/g, C_in/g*K) @ (N, g, C_in/g*K, L_out) writes the
+    # (N, C_out, L_out) output directly
+    wmat = weight.data.reshape(g, c_out // g, (c_in // g) * k)
+    y = (wmat @ _windows(xb.data, k, stride, padding, g)).reshape(n, c_out, l_out)
 
-        def backward(gy):
-            gy = gy.reshape(n, c_out, l_out)
-            if weight.requires_grad:
-                gw = (gy @ _patches(xb.data, k).transpose(0, 2, 1)).sum(axis=0)
-                weight.accumulate_grad(gw.reshape(weight.shape))
-            if bias is not None and bias.requires_grad:
-                bias.accumulate_grad(gy.sum(axis=(0, 2)))
-            if xb.requires_grad:
-                # the inverse of _patches, one tap at a time: a single
-                # transposed assignment iterates the size-K axis innermost
-                gpatch = (wmat.T @ gy).reshape(n, c_in, k, l_out)
-                gx = np.empty((n, c_in, length), xb.data.dtype)
-                for kk in range(k):
-                    gx[:, :, kk : l_out * k : k] = gpatch[:, :, kk]
-                gx[:, :, l_out * k :] = 0  # the L mod K samples no window reads
-                xb.accumulate_grad(gx)
-
-    else:
-        g = groups
-        # (g, N*L_out, C_in/g*K) @ (g, C_in/g*K, C_out/g), which stays in BLAS
-        wmat = weight.data.reshape(g, c_out // g, (c_in // g) * k)
-        y = _im2col(xb.data, k, stride, padding, g) @ wmat.transpose(0, 2, 1)
-        y = y.reshape(g, n, l_out, c_out // g).transpose(1, 0, 3, 2)
-        y = np.ascontiguousarray(y.reshape(n, c_out, l_out))
-
-        def backward(gy):
-            gy = gy.reshape(n, c_out, l_out)
-            gy_mat = np.ascontiguousarray(
-                gy.reshape(n, g, c_out // g, l_out).transpose(1, 0, 3, 2)
-            ).reshape(g, n * l_out, c_out // g)
-            if weight.requires_grad:
-                cols = _im2col(xb.data, k, stride, padding, g)
-                gw = gy_mat.transpose(0, 2, 1) @ cols
-                weight.accumulate_grad(gw.reshape(weight.shape))
-            if bias is not None and bias.requires_grad:
-                bias.accumulate_grad(gy.sum(axis=(0, 2)))
-            if xb.requires_grad:
-                gcols = gy_mat @ wmat
-                gwin = gcols.reshape(g, n, l_out, c_in // g, k).transpose(
-                    1, 0, 3, 2, 4
-                )
-                gwin = gwin.reshape(n, c_in, l_out, k)
-                gxp = np.zeros((n, c_in, length + 2 * padding), xb.data.dtype)
-                span = stride * (l_out - 1) + 1
-                for kk in range(k):  # tap kk of window j reads sample j*stride + kk
-                    gxp[:, :, kk : kk + span : stride] += gwin[:, :, :, kk]
-                gx = gxp[:, :, padding : padding + length] if padding else gxp
-                xb.accumulate_grad(gx)
+    def backward(gy):
+        gy4 = gy.reshape(n, g, c_out // g, l_out)
+        if weight.requires_grad:
+            cols = _windows(xb.data, k, stride, padding, g)
+            gw = (gy4 @ cols.transpose(0, 1, 3, 2)).sum(axis=0)
+            weight.accumulate_grad(gw.reshape(weight.shape))
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(gy.reshape(n, c_out, l_out).sum(axis=(0, 2)))
+        if xb.requires_grad:
+            gwin = (wmat.transpose(0, 2, 1) @ gy4).reshape(n, c_in, k, l_out)
+            gxp = np.zeros((n, c_in, length + 2 * padding), xb.data.dtype)
+            span = stride * (l_out - 1) + 1
+            for kk in range(k):  # tap kk of window j reads sample j*stride + kk
+                gxp[:, :, kk : kk + span : stride] += gwin[:, :, kk]
+            xb.accumulate_grad(gxp[:, :, padding : padding + length])
 
     if bias is not None:
         y = y + bias.data[:, None]

@@ -289,6 +289,35 @@ class TestLoocv:
         assert len(loaded) == 6
         assert alive_at_subset == [0]
 
+    def test_jobs_beyond_the_fold_count_start_one_worker_per_fold(
+        self, workdir, tmp_path, monkeypatch
+    ):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("seizenet.cli.ProcessPoolExecutor", SerialPool)
+        cfg = write_json(
+            tmp_path / "exp.json",
+            experiment_dict(
+                workdir["corpus_dir"], tmp_path / "out", init_policy="random"
+            ),
+        )
+        assert main(["loocv", "--config", str(cfg), "--jobs", "64"]) == 0
+        assert started == [6]
+        assert len(list((tmp_path / "out").glob("fold_*.json"))) == 6
+
     def test_too_few_records_is_protocol_error(self, tmp_path, capsys):
         spec = dict(CORPUS_SPEC, records_per_subject=1)
         corpus_cfg = write_json(tmp_path / "corpus.json", spec)
@@ -500,6 +529,39 @@ class TestConfigErrors:
             assert exp.filter_spec.order == 4 and type(exp.filter_spec.order) is int
             hashes.append(exp.hash)
         assert hashes[0] == hashes[1]
+
+    @pytest.mark.parametrize(
+        "path, value, accepted",
+        [
+            (("model", "heads"), 4.0, True),
+            (("model", "transformer_layers"), 2.0, True),
+            (("model", "conv_strides"), [3.0, 2, 2], True),
+            (("train", "batch_size"), 8.0, True),
+            (("mask", "span_len"), 10.0, True),
+            (("seed",), True, False),
+            (("model", "heads"), 4.5, False),
+            (("model", "conv_strides"), [3, 2.5, 2], False),
+            (("model", "classifier_dims"), [[16, 8], [8, True]], False),
+        ],
+    )
+    def test_integer_fields_take_integral_floats_and_refuse_the_rest(
+        self, workdir, tmp_path, capsys, path, value, accepted
+    ):
+        plain = experiment_dict(workdir["corpus_dir"], tmp_path / "out")
+        exp = json.loads(json.dumps(plain))
+        *sections, key = path
+        target = exp
+        for section in sections:
+            target = target.setdefault(section, {})
+        target[key] = value
+        cfg = write_json(tmp_path / "exp.json", exp)
+        if accepted:
+            plain_cfg = write_json(tmp_path / "plain.json", plain)
+            assert load_experiment(cfg).hash == load_experiment(plain_cfg).hash
+            assert main(["pretrain", "--config", str(cfg)]) == 0
+        else:
+            assert main(["pretrain", "--config", str(cfg), "--dry-run"]) == 2
+            assert "must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry"])
     @pytest.mark.parametrize(

@@ -94,7 +94,7 @@ class TestModelConfig:
 
     def test_dict_round_trip(self):
         config = tiny_config()
-        assert ModelConfig.from_dict(config.to_dict()) == config
+        assert ModelConfig(**config.to_dict()) == config
 
 
 class TestEncode:

@@ -33,7 +33,6 @@ from seizenet.nn import (
     save_checkpoint,
     softmax,
 )
-from seizenet.nn import ops
 from seizenet.nn.ops import _CDF_BLOCK, _normal_cdf
 from seizenet.model import ModelConfig, forward_classifier, init_weights
 from seizenet.preprocess import normalize
@@ -358,39 +357,60 @@ class TestConv1d:
         assert np.array_equal(x.grad, gxp[:, :, padding : padding + length])
 
 
-def _im2col_conv1d(x, w, b, stride, gy):
-    """The im2col kernel that conv1d ran for every shape before the patch
-    path, for (N, C_in, L) input, one group and no padding: the output and
-    the input, weight and bias gradients for the output gradient ``gy``."""
-    n, c_in, _ = x.shape
+def _im2col_conv1d(x, w, b, stride, gy, padding=0, groups=1):
+    """The im2col kernel that conv1d ran for every shape but kernel == stride
+    before the one window layout, for (N, C_in, L) input: the output and the
+    input, weight and bias gradients for the output gradient ``gy``."""
+    n, c_in, length = x.shape
     c_out, _, k = w.shape
-    win = sliding_window_view(x, k, axis=2)[:, :, ::stride]
+    g = groups
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    win = sliding_window_view(xp, k, axis=2)[:, :, ::stride]
     l_out = win.shape[2]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(n * l_out, -1)
-    wmat = w.reshape(c_out, c_in * k)
-    y = (cols @ wmat.T).reshape(n, l_out, c_out).transpose(0, 2, 1)
+    cols = np.ascontiguousarray(
+        win.reshape(n, g, c_in // g, l_out, k).transpose(1, 0, 3, 2, 4)
+    ).reshape(g, n * l_out, (c_in // g) * k)
+    wmat = w.reshape(g, c_out // g, (c_in // g) * k)
+    y = (cols @ wmat.transpose(0, 2, 1)).reshape(g, n, l_out, c_out // g)
+    y = y.transpose(1, 0, 3, 2).reshape(n, c_out, l_out)
     if b is not None:
         y = y + b[:, None]
-    gy_mat = np.ascontiguousarray(gy.transpose(0, 2, 1)).reshape(n * l_out, c_out)
-    gw = (gy_mat.T @ cols).reshape(w.shape)
-    gwin = (gy_mat @ wmat).reshape(n, l_out, c_in, k).transpose(0, 2, 1, 3)
-    gx = np.zeros_like(x)
+    gy_mat = np.ascontiguousarray(
+        gy.reshape(n, g, c_out // g, l_out).transpose(1, 0, 3, 2)
+    ).reshape(g, n * l_out, c_out // g)
+    gw = (gy_mat.transpose(0, 2, 1) @ cols).reshape(w.shape)
+    gwin = (gy_mat @ wmat).reshape(g, n, l_out, c_in // g, k)
+    gwin = gwin.transpose(1, 0, 3, 2, 4).reshape(n, c_in, l_out, k)
+    gxp = np.zeros_like(xp)
     span = stride * (l_out - 1) + 1
     for kk in range(k):
-        gx[:, :, kk : kk + span : stride] += gwin[:, :, :, kk]
+        gxp[:, :, kk : kk + span : stride] += gwin[:, :, :, kk]
+    return y, gxp[:, :, padding : padding + length], gw, gy.sum(axis=(0, 2))
+
+
+def _patch_conv1d(x, w, b, gy):
+    """The kernel == stride path that conv1d ran for the encoder convs before
+    the one window layout: output and input, weight and bias gradients."""
+    n, c_in, length = x.shape
+    c_out, _, k = w.shape
+    l_out = length // k
+    win = x[:, :, : l_out * k].reshape(n, c_in, l_out, k)
+    patches = np.ascontiguousarray(win.transpose(0, 1, 3, 2))
+    patches = patches.reshape(n, c_in * k, l_out)
+    wmat = w.reshape(c_out, c_in * k)
+    y = wmat @ patches + b[:, None]
+    gw = (gy @ patches.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    gpatch = (wmat.T @ gy).reshape(n, c_in, k, l_out)
+    gx = np.empty_like(x)
+    for kk in range(k):
+        gx[:, :, kk : l_out * k : k] = gpatch[:, :, kk]
+    gx[:, :, l_out * k :] = 0
     return y, gx, gw, gy.sum(axis=(0, 2))
 
 
 class TestPatchConv:
-    """conv1d with kernel == stride, no padding and one group (every encoder
-    conv) takes the patch path; checked against the im2col kernel."""
-
-    @pytest.fixture(autouse=True)
-    def no_im2col(self, monkeypatch):
-        def explode(*args, **kwargs):
-            raise AssertionError("a kernel == stride conv built an im2col matrix")
-
-        monkeypatch.setattr(ops, "_im2col", explode)
+    """conv1d's one window kernel against the im2col kernel it replaced, and
+    at kernel == stride (every encoder conv) against the patch kernel."""
 
     @pytest.mark.parametrize(
         "n, c_in, length, k",
@@ -412,6 +432,52 @@ class TestPatchConv:
             npt.assert_allclose(have, expected, rtol=1e-12, atol=1e-12)
         if length % k:
             assert not x.grad[:, :, length - length % k :].any()
+
+    @pytest.mark.parametrize(
+        "n, c_in, length, c_out, k, stride, padding, groups",
+        [
+            (3, 4, 29, 6, 2, 3, 0, 1),  # stride > K: samples no window reads
+            (2, 4, 31, 6, 5, 2, 0, 1),  # K > stride: windows overlap
+            (2, 6, 23, 4, 3, 2, 1, 2),  # padding with groups
+            (2, 32, 40, 32, 25, 1, 12, 16),  # the positional conv
+        ],
+    )
+    def test_padded_grouped_and_strided_match_the_im2col_kernel(
+        self, n, c_in, length, c_out, k, stride, padding, groups
+    ):
+        rng = Rng(44).child("window", k, stride, padding, groups)
+        x = rand_tensor(rng, n, c_in, length)
+        w = rand_tensor(rng, c_out, c_in // groups, k)
+        b = rand_tensor(rng, c_out)
+        y = conv1d(x, w, b, stride, padding, groups)
+        gy = rng.normal(size=y.shape)
+        y.backward(gy)
+        want = _im2col_conv1d(x.data, w.data, b.data, stride, gy, padding, groups)
+        for have, expected in zip([y.data, x.grad, w.grad, b.grad], want):
+            assert have.shape == expected.shape
+            npt.assert_allclose(have, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "c_in, length, k",
+        [(20, 2048, 3), (64, 682, 2), (64, 42, 2), (20, 2047, 3)],
+    )
+    def test_float32_bytes_match_the_patch_kernel(self, c_in, length, k):
+        # cli-conv encoder blocks 0, 1 and 5, and a tail no window reads
+        rng = Rng(45).child("patch32", c_in, length)
+
+        def f32(*shape):
+            return rng.normal(size=shape).astype(np.float32)
+
+        x = Tensor(f32(4, c_in, length), requires_grad=True)
+        w = Tensor(f32(64, c_in, k), requires_grad=True)
+        b = Tensor(f32(64), requires_grad=True)
+        y = conv1d(x, w, b, stride=k)
+        gy = f32(*y.shape)
+        y.backward(gy)
+        want = _patch_conv1d(x.data, w.data, b.data, gy)
+        for have, expected in zip([y.data, x.grad, w.grad, b.grad], want):
+            assert have.dtype == np.float32
+            assert have.tobytes() == expected.tobytes()
 
     def test_unbatched_input_and_frozen_weight(self):
         rng = Rng(41).child("patch")
