@@ -16,7 +16,6 @@ from .eegio import (
     load_corpus,
     parse_edf,
     read_edf_file,
-    windows_from_recordings,
     write_edf,
     write_edf_file,
 )
@@ -133,7 +132,6 @@ __all__ = [
     "sswce_loss",
     "truth_events_from_intervals",
     "weighted_sampler",
-    "windows_from_recordings",
     "write_edf",
     "write_edf_file",
 ]

@@ -172,11 +172,12 @@ def load_experiment(
     seed = _integral(seed, "seed")
     out_dir = Path(out_override or raw.get("out_dir", "out"))
     corpus_dir = Path(raw.get("corpus_dir", "corpus"))
-    try:
-        window_s = float(raw.get("window_s", 8.0))
-    except (TypeError, ValueError):
+    window_s = raw.get("window_s", 8.0)
+    try:  # a JSON number: neither a boolean nor a string
+        window_s = np.nan if isinstance(window_s, (bool, str)) else float(window_s)
+    except (TypeError, OverflowError):
         window_s = np.nan
-    if not window_s > 0:
+    if not 0 < window_s < np.inf:
         raise ConfigError(
             f"window_s must be a positive number, got {raw['window_s']!r}"
         )
@@ -378,13 +379,7 @@ def cmd_synth(args) -> int:
         raise ConfigError("corpus spec must be a JSON object")
     if args.seed is not None:
         spec_dict["seed"] = args.seed
-    for key in ("seizure_len_s", "seizure_freq_range_hz"):
-        if key in spec_dict:
-            spec_dict[key] = tuple(spec_dict[key])
-    try:
-        spec = CorpusSpec(**spec_dict)
-    except TypeError as err:
-        raise ConfigError(f"bad corpus spec: {err}") from None
+    spec = _build_section(CorpusSpec, spec_dict, "corpus spec")
     out = Path(args.out or "corpus")
     if args.dry_run:
         total = spec.subjects * spec.records_per_subject

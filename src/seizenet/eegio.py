@@ -1,4 +1,4 @@
-"""EDF ingestion and window segmentation.
+"""EDF ingestion, the window store, and the window layout of a corpus.
 
 Supports the EDF subset used by CHB-MIT-style corpora: one sampling rate for
 all signals, continuous records, little-endian 16-bit samples, and seizure
@@ -110,13 +110,12 @@ class Window:
 class WindowedDataset:
     """Non-overlapping labeled windows stored as columns, one row per window.
 
-    ``X`` is a C-contiguous (N, C, T) array: float64 as
-    ``windows_from_recordings`` cuts it, and ``model.COMPUTE_DTYPE``
-    (float32) once ``training.prepare_recordings`` has normalized it, the
-    form in which windows reach the model.  ``y`` (int64 labels),
-    ``subject``, ``record`` and ``index`` (position within its record) are
-    length-N columns.  Every column is read-only, so ``matrix()`` and the
-    ``Window`` rows hand out views without copying.
+    ``X`` is one C-contiguous (N, C, T) ``model.COMPUTE_DTYPE`` (float32)
+    array, as ``training.prepare_recordings`` fills it and as windows reach
+    the model.  ``y`` (int64 labels), ``subject``, ``record`` and ``index``
+    (position within its record) are length-N columns.  Every column is
+    read-only, so ``matrix()`` and the ``Window`` rows hand out views
+    without copying.
     """
 
     X: np.ndarray
@@ -130,10 +129,6 @@ class WindowedDataset:
     def __post_init__(self):
         for column in (self.X, self.y, self.subject, self.record, self.index):
             column.flags.writeable = False
-
-    @property
-    def channel_count(self) -> int:
-        return self.X.shape[1]
 
     @property
     def samples_per_window(self) -> int:
@@ -497,7 +492,7 @@ def load_annotations(text: str) -> dict[str, list[SeizureInterval]]:
 
 
 # ---------------------------------------------------------------------------
-# Corpus directory loading and windowing
+# Corpus directory loading and window layout
 # ---------------------------------------------------------------------------
 
 
@@ -546,12 +541,6 @@ def load_corpus(corpus_dir: str | Path) -> list[Recording]:
     return recordings
 
 
-def _seizure_sample_spans(seizures: list[SeizureInterval], fs: int) -> np.ndarray:
-    """Seizure intervals as a (k, 2) array of half-open sample spans."""
-    spans = [(np.floor(iv.start_s * fs), np.ceil(iv.end_s * fs)) for iv in seizures]
-    return np.array(spans, dtype=np.int64).reshape(-1, 2)
-
-
 def window_layout(recordings: list[Recording], window_s: float) -> tuple[int, list]:
     """Samples per window, and each record's count of whole windows.
 
@@ -582,35 +571,3 @@ def window_layout(recordings: list[Recording], window_s: float) -> tuple[int, li
             f"window_s {window_s} is shorter than one sample at {fs} Hz"
         )
     return T, [rec.n_samples // T for rec in recordings]
-
-
-def windows_from_recordings(
-    recordings: list[Recording], window_s: float = 8.0
-) -> WindowedDataset:
-    """Cut each recording into fixed-length windows, in record then time order.
-
-    A window is labeled 1 iff it overlaps a seizure by at least one sample;
-    the counts and errors are those of ``window_layout``.
-    """
-    T, counts = window_layout(recordings, window_s)
-    first, fs = recordings[0], recordings[0].sample_rate_hz
-    views, labels = [], []
-    for rec, n in zip(recordings, counts):
-        # (C, n*T) -> (n, C, T) is a view; the one copy is the concatenate
-        C = rec.n_channels
-        views.append(rec.samples[:, : n * T].reshape(C, n, T).transpose(1, 0, 2))
-        starts = np.arange(n)[:, None] * T
-        spans = _seizure_sample_spans(rec.seizures, fs)
-        overlaps = (starts < spans[:, 1]) & (spans[:, 0] < starts + T)
-        labels.append(overlaps.any(axis=1))
-    # out= keeps X C-contiguous; concatenate alone keeps the views' layout
-    X = np.empty((sum(counts), first.n_channels, T))
-    return WindowedDataset(
-        X=np.concatenate(views, out=X),
-        y=np.concatenate(labels).astype(np.int64),
-        subject=np.repeat([rec.subject_id for rec in recordings], counts),
-        record=np.repeat([rec.record_id for rec in recordings], counts),
-        index=np.concatenate([np.arange(n) for n in counts]),
-        window_s=window_s,
-        sample_rate_hz=fs,
-    )

@@ -222,15 +222,19 @@ def normalize(x: np.ndarray, method: str = "minmax") -> np.ndarray:
     if method == "minmax":
         shift = x.min(axis=-1, keepdims=True)
         scale = x.max(axis=-1, keepdims=True) - shift + 1e-8
+        out = x - shift
     elif method == "meanstd":
+        # x.std's steps, in the one temporary that then holds the result
         shift = x.mean(axis=-1, keepdims=True)
-        scale = x.std(axis=-1, keepdims=True) + 1e-8
+        out = x - shift
+        out *= out
+        scale = np.sqrt(out.mean(axis=-1, keepdims=True)) + 1e-8
+        np.subtract(x, shift, out=out)
     else:
         raise ConfigError(
             f"unknown normalization {method!r}; expected one of {NORMALIZATION_METHODS}"
         )
-    out = x - shift
-    out /= scale  # in place: one temporary per call, not two
+    out /= scale
     return out
 
 

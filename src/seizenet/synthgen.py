@@ -11,6 +11,7 @@ regenerate bit-identically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,18 +40,22 @@ class CorpusSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("seizure_len_s", "seizure_freq_range_hz"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+            if len(getattr(self, name)) != 2:
+                raise SpecError(f"{name} must be a [low, high] pair")
         if self.subjects < 1 or self.records_per_subject < 1:
             raise SpecError("need at least one subject and one record each")
         if self.seizures_per_record < 0:
             raise SpecError("seizures_per_record must be >= 0")
         if self.record_s <= 0 or self.sample_rate_hz <= 0 or self.channels < 1:
             raise SpecError("record length, rate, and channels must be positive")
-        if self.record_s != int(self.record_s):
+        if not math.isfinite(self.record_s) or self.record_s != int(self.record_s):
             raise SpecError("record_s must be a whole number of seconds")
         lo, hi = self.seizure_len_s
         if not 0 < lo <= hi:
             raise SpecError(f"bad seizure length range {self.seizure_len_s}")
-        if self.seizure_gain < 3.0:
+        if not self.seizure_gain >= 3.0:  # NaN too
             raise SpecError(
                 f"seizure_gain must be >= 3 for separability, got "
                 f"{self.seizure_gain}"
@@ -76,13 +81,6 @@ class CorpusSpec:
             "channels": self.channels,
             "seed": self.seed,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "CorpusSpec":
-        d = dict(d)
-        d["seizure_len_s"] = tuple(d["seizure_len_s"])
-        d["seizure_freq_range_hz"] = tuple(d["seizure_freq_range_hz"])
-        return CorpusSpec(**d)
 
 
 def spec_hash(spec: CorpusSpec) -> str:

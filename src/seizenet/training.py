@@ -13,12 +13,13 @@ fixed seed reproduces losses, parameters, and test probabilities exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eegio import WindowedDataset, window_layout, windows_from_recordings
+from .eegio import WindowedDataset, window_layout
 from .errors import ConfigError, ProtocolError, TrainError
+from .evalpost import truth_events_from_intervals
 from .model import (
     COMPUTE_DTYPE,
     FREEZE_POLICIES,
@@ -129,13 +130,16 @@ def prepare_recordings(
     filter_spec: FilterSpec | None = None,
     normalization: str | None = "meanstd",
 ) -> WindowedDataset:
-    """Filter, cut and normalize one record at a time.
+    """Filter, cut, normalize and label one record at a time.
 
-    Each record is filtered and cut in float64, and each window normalized
-    and rounded once into its row of ``X`` (``COMPUTE_DTYPE``), the form in
-    which every stage hands windows to the model.  Every check runs before
-    the first filter: ConfigError for a filter designed for another sample
-    rate than a record's, then those of ``window_layout``.
+    Each record is filtered in float64 and its whole windows, a trailing
+    partial one dropped, are normalized as one (n, C, T) view and rounded
+    once into their rows of ``X`` (``COMPUTE_DTYPE``), the form in which
+    every stage hands windows to the model.  A window is labeled 1 iff it
+    lies in an event of ``truth_events_from_intervals``, the rule scoring
+    counts against.  Every check runs before the first filter: ConfigError
+    for a filter designed for another sample rate than a record's, then
+    those of ``window_layout``.
     """
     if filter_spec is not None:
         for rec in recordings:
@@ -146,20 +150,25 @@ def prepare_recordings(
                     f"designed for {filter_spec.sample_rate_hz} Hz"
                 )
     T, counts = window_layout(recordings, window_s)
-    X = np.empty((sum(counts), recordings[0].n_channels, T), dtype=COMPUTE_DTYPE)
-    columns = []
-    for rec, start in zip(recordings, np.cumsum([0, *counts])):
+    C, fs = recordings[0].n_channels, recordings[0].sample_rate_hz
+    X = np.empty((sum(counts), C, T), dtype=COMPUTE_DTYPE)
+    y = np.zeros(len(X), dtype=np.int64)
+    for rec, n, start in zip(recordings, counts, np.cumsum([0, *counts])):
+        samples = rec.samples
         if filter_spec is not None:
-            rec = replace(
-                rec, samples=preprocess_recording_samples(rec.samples, filter_spec)
-            )
-        part = windows_from_recordings([rec], window_s)
-        for row, cut in zip(X[start:], part.X):
-            row[...] = cut if normalization is None else normalize(cut, normalization)
-        columns.append((part.y, part.subject, part.record, part.index))
-        del rec, part  # free this record's float64 copies before the next
-    columns = map(np.concatenate, zip(*columns))  # y, subject, record, index
-    return WindowedDataset(X, *columns, window_s, recordings[0].sample_rate_hz)
+            samples = preprocess_recording_samples(samples, filter_spec)
+        # (C, n*T) -> (n, C, T) is a view, not a copy
+        cuts = samples[:, : n * T].reshape(C, n, T).transpose(1, 0, 2)
+        if normalization is not None:
+            cuts = normalize(cuts, normalization)
+        X[start : start + n] = cuts
+        for a, b in truth_events_from_intervals(rec.seizures, n, window_s, fs):
+            y[start + a : start + b] = 1
+        del samples, cuts  # free this record's float64 copies before the next
+    subject = np.repeat([rec.subject_id for rec in recordings], counts)
+    record = np.repeat([rec.record_id for rec in recordings], counts)
+    index = np.concatenate([np.arange(n) for n in counts])
+    return WindowedDataset(X, y, subject, record, index, window_s, fs)
 
 
 def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:

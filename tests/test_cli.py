@@ -133,6 +133,25 @@ class TestSynth:
         assert not out.exists()
         assert "would write 6 records" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"subjects": 2.5}, "corpus spec.subjects must be an integer"),
+            ({"channels": True}, "corpus spec.channels must be an integer"),
+            ({"seizure_len_s": 5}, "bad 'corpus spec' section"),
+            ({"record_s": float("inf")}, "record_s must be a whole number"),
+            ({"record_s": float("nan")}, "record_s must be a whole number"),
+            ({"seizure_gain": float("nan")}, "seizure_gain must be >= 3"),
+        ],
+    )
+    def test_bad_spec_is_config_error(self, tmp_path, capsys, overrides, message):
+        cfg = write_json(tmp_path / "corpus.json", {**CORPUS_SPEC, **overrides})
+        out = tmp_path / "never"
+        code = main(["synth", "--config", str(cfg), "--out", str(out), "--dry-run"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override_changes_hash(self, workdir, tmp_path):
         out = tmp_path / "reseeded"
         code = main(
@@ -450,7 +469,9 @@ class TestConfigErrors:
         assert main(["pretrain", "--config", str(cfg)]) == 2
         assert "preprocess.filter" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("window_s", [0, -2.0, "eight", None])
+    @pytest.mark.parametrize(
+        "window_s", [0, -2.0, "eight", None, float("inf"), True, "8"]
+    )
     def test_window_that_is_not_a_positive_number_is_config_error(
         self, workdir, tmp_path, capsys, window_s
     ):

@@ -5,6 +5,8 @@ independently of the package writer; the writer is then checked by
 round-tripping through the parser with a quantization-step error bound.
 """
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -17,7 +19,6 @@ from seizenet.eegio import (
     load_annotations,
     load_corpus,
     parse_edf,
-    windows_from_recordings,
     write_edf,
     write_edf_file,
 )
@@ -26,6 +27,8 @@ from seizenet.errors import (
     ParseError,
     UnsupportedError,
 )
+from seizenet.evalpost import truth_events_from_intervals
+from seizenet.training import prepare_recordings
 
 
 def _field(value, width):
@@ -287,38 +290,75 @@ def _silent_recording(seconds, fs=256, n_channels=2, seizures=()):
     )
 
 
+def _windows(recordings, window_s):
+    """The windows every stage trains on, without normalization."""
+    return prepare_recordings(recordings, window_s=window_s, normalization=None)
+
+
 class TestSegmentWindows:
     def test_hour_at_8s_yields_450_windows(self):
-        ds = windows_from_recordings([_silent_recording(3600)], window_s=8.0)
+        ds = _windows([_silent_recording(3600)], window_s=8.0)
         assert len(ds) == 450
         assert ds.samples_per_window == 2048
 
     def test_trailing_partial_window_discarded(self):
-        ds = windows_from_recordings([_silent_recording(100)], window_s=8.0)
+        ds = _windows([_silent_recording(100)], window_s=8.0)
         assert len(ds) == 12  # 96 seconds used, 4 discarded
 
     def test_labels_match_interval_overlap_oracle(self):
+        def check(rec, window_s, intervals):
+            labels = _windows([rec], window_s).labels().tolist()
+            fs = rec.sample_rate_hz
+            T = int(round(window_s * fs))
+            # brute force: mark each seizure sample, then scan each window
+            ictal = np.zeros(rec.n_samples, dtype=bool)
+            for a, b in intervals:
+                ictal[math.floor(a * fs) : math.ceil(b * fs)] = True
+            oracle = [int(ictal[k * T : (k + 1) * T].any()) for k in range(len(labels))]
+            events = [0] * len(labels)
+            for a, b in truth_events_from_intervals(
+                rec.seizures, len(labels), window_s, fs
+            ):
+                events[a:b] = [1] * (b - a)
+            assert labels == oracle == events
+            return [k for k, y in enumerate(labels) if y]
+
         # seizure [100, 130) against 8 s windows: window k covers [8k, 8k+8)
         rec = _silent_recording(200, seizures=[SeizureInterval(100.0, 130.0)])
-        ds = windows_from_recordings([rec], window_s=8.0)
-        expected = [
-            1 if max(8 * k, 100.0) < min(8 * k + 8, 130.0) else 0
-            for k in range(len(ds))
+        assert check(rec, 8.0, [(100.0, 130.0)]) == [12, 13, 14, 15, 16]
+
+        # 37-sample windows at 100 Hz drop samples [999, 1010): fractional
+        # bounds, 2.22 s landing on window 6's first sample (222.00000000000003
+        # after scaling), one sample, one ending inside the dropped tail and
+        # one wholly inside it
+        intervals = [
+            (0.123, 0.456),
+            (2.0, 2.22),
+            (5.555, 5.56),
+            (9.8, 9.995),
+            (10.02, 10.08),
         ]
-        assert ds.labels().tolist() == expected
-        assert [k for k, y in enumerate(expected) if y] == [12, 13, 14, 15, 16]
+        rec = Recording(
+            subject_id="s01",
+            record_id="s01_r00",
+            sample_rate_hz=100,
+            channels=["CH0", "CH1"],
+            samples=np.zeros((2, 1010)),
+            seizures=[SeizureInterval(a, b) for a, b in intervals],
+        )
+        assert check(rec, 0.37, intervals) == [0, 1, 5, 6, 15, 26]
 
     def test_single_sample_overlap_is_positive(self):
         fs = 256
         rec = _silent_recording(
             24, fs=fs, seizures=[SeizureInterval(8.0, 8.0 + 1.0 / fs)]
         )
-        labels = windows_from_recordings([rec], window_s=8.0).labels().tolist()
+        labels = _windows([rec], window_s=8.0).labels().tolist()
         assert labels == [0, 1, 0]
 
     def test_boundary_touch_is_not_overlap(self):
         rec = _silent_recording(24, seizures=[SeizureInterval(4.0, 8.0)])
-        labels = windows_from_recordings([rec], window_s=8.0).labels().tolist()
+        labels = _windows([rec], window_s=8.0).labels().tolist()
         assert labels == [1, 0, 0]
 
     def test_windows_tile_the_prefix_exactly(self):
@@ -330,14 +370,15 @@ class TestSegmentWindows:
             channels=["A"],
             samples=rng.normal(size=(1, 100)),
         )
-        ds = windows_from_recordings([rec], window_s=2.0)
+        ds = _windows([rec], window_s=2.0)
         rebuilt = np.concatenate([w.data for w in ds.windows], axis=1)
-        npt.assert_array_equal(rebuilt, rec.samples[:, : rebuilt.shape[1]])
+        prefix = rec.samples[:, : rebuilt.shape[1]].astype(np.float32)
+        npt.assert_array_equal(rebuilt, prefix)
 
     def test_bad_window_params_rejected(self):
         rec = _silent_recording(24)
         with pytest.raises(ValueError):
-            windows_from_recordings([rec], window_s=0)
+            _windows([rec], window_s=0)
 
 
 class TestLoadAnnotations:
@@ -390,7 +431,7 @@ class TestLoadCorpus:
         assert loaded[0].record_id == "s01_r00"
         assert loaded[0].seizures == [SeizureInterval(3.0, 7.0)]
 
-    def test_windows_from_recordings_concatenates(self):
+    def test_prepare_recordings_concatenates(self):
         recs = [_silent_recording(16), _silent_recording(24)]
-        ds = windows_from_recordings(recs, window_s=8.0)
+        ds = _windows(recs, window_s=8.0)
         assert len(ds) == 2 + 3

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seizenet.eegio import load_corpus, windows_from_recordings
+from seizenet.eegio import load_corpus
 from seizenet.errors import SpecError
 from seizenet.synthgen import (
     CorpusSpec,
@@ -23,6 +23,7 @@ from seizenet.synthgen import (
     subject_signature_hz,
 )
 from seizenet.rand import Rng
+from seizenet.training import prepare_recordings
 
 
 def small_spec(**overrides) -> CorpusSpec:
@@ -66,7 +67,7 @@ class TestSpecValidation:
 
     def test_dict_round_trip(self):
         spec = small_spec()
-        assert CorpusSpec.from_dict(spec.to_dict()) == spec
+        assert CorpusSpec(**spec.to_dict()) == spec
 
 
 class TestRecording:
@@ -166,7 +167,7 @@ class TestSeparability:
         fs = spec.sample_rate_hz
         freq = subject_signature_hz(spec, 1)
         window_s = 4.0
-        ds = windows_from_recordings([rec], window_s)
+        ds = prepare_recordings([rec], window_s, normalization=None)
 
         def fully_inside(i):
             a, b = i * window_s, (i + 1) * window_s
@@ -220,7 +221,7 @@ class TestCorpus:
     def test_regenerate_from_manifest(self, tmp_path):
         spec = small_spec(channels=4, record_s=96, seizures_per_record=1)
         manifest = generate_corpus(spec, tmp_path / "orig")
-        rebuilt_spec = CorpusSpec.from_dict(manifest["spec"])
+        rebuilt_spec = CorpusSpec(**manifest["spec"])
         manifest2 = generate_corpus(rebuilt_spec, tmp_path / "again")
         assert manifest2 == manifest
         rel = manifest["records"][0]["path"]
@@ -243,7 +244,7 @@ class TestCorpus:
         T = int(window_s * fs)
         for item in manifest["records"]:
             rec = loaded[item["record_id"]]
-            got = windows_from_recordings([rec], window_s).labels()
+            got = prepare_recordings([rec], window_s, normalization=None).labels()
             n_windows = rec.n_samples // T
             expected = []
             for i in range(n_windows):
