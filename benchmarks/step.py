@@ -1,4 +1,4 @@
-"""Microbenchmark of GELU, conv, one train step, one eval forward, ingest and setup.
+"""Microbenchmark of GELU, conv, attention, a train step, eval forward, ingest, setup.
 
 Run from anywhere; ``--src`` picks the seizenet source tree to time, so the
 same script measures a checkout and its parent side by side:
@@ -18,6 +18,9 @@ Cases, each run once untimed and then ``--repeats`` times in this process:
   positional conv of ``cli-attn`` runs it, on the channels-first view of a
   (16, 172, 64) float32 sequence batch, with a (64, 4, 25) weight, a bias,
   stride 1, padding 12 and 16 groups;
+- ``attn.forward`` and ``attn.backward``: one ``nn.multi_head_attention``
+  at the ``cli-attn`` shape, a (16, 172, 64) float32 input and four
+  (64, 64) weights, all needing a gradient, with 4 heads;
 - ``<shape>.train_step``: ``zero_grads``, ``forward_classifier`` with
   dropout, ``sswce_loss``, ``backward`` and ``adam_step``, the step that
   second pretraining and every LOOCV fold take;
@@ -77,6 +80,7 @@ GELU_SHAPE = (32, 64, 683)
 CONV_SHAPE, CONV_KERNEL = (32, 64, 682), 2
 # cli-attn: 170 positions plus the special token, width 64
 POS_SHAPE, POS_KERNEL, POS_GROUPS = (16, 172, 64), 25, 16
+ATTN_SHAPE, ATTN_HEADS = POS_SHAPE, 4
 
 
 def _gelu_case(sn, rng):
@@ -112,6 +116,28 @@ def _conv_case(sn, rng, name, x_data, w_shape, stride, padding=0, groups=1):
         out.backward(g)
         t2 = time.perf_counter()
         return {f"{name}.forward": t1 - t0, f"{name}.backward": t2 - t1}
+
+    return run
+
+
+def _attn_case(sn, rng):
+    d = ATTN_SHAPE[-1]
+    x_data = rng.normal(size=ATTN_SHAPE).astype(np.float32)
+    # std 1/sqrt(d), so the scores stay in the softmax's working range
+    w_data = [
+        (rng.normal(size=(d, d)) / np.sqrt(d)).astype(np.float32) for _ in range(4)
+    ]
+    g = rng.normal(size=ATTN_SHAPE).astype(np.float32)
+
+    def run(_):
+        x = sn.nn.Tensor(x_data, requires_grad=True)
+        ws = [sn.nn.Tensor(w, requires_grad=True) for w in w_data]
+        t0 = time.perf_counter()
+        out = sn.nn.multi_head_attention(x, ATTN_HEADS, *ws)
+        t1 = time.perf_counter()
+        out.backward(g)
+        t2 = time.perf_counter()
+        return {"attn.forward": t1 - t0, "attn.backward": t2 - t1}
 
     return run
 
@@ -298,6 +324,7 @@ def main(argv=None) -> int:
     pos_w = (d, d // POS_GROUPS, POS_KERNEL)
     pos_pad = POS_KERNEL // 2
     runs.append(_conv_case(sn, rng, "pos_conv", pos_x, pos_w, 1, pos_pad, POS_GROUPS))
+    runs.append(_attn_case(sn, rng))
 
     samples: dict[str, list[float]] = {}
     with tempfile.TemporaryDirectory(prefix="seizenet-step-") as workdir:

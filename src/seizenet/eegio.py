@@ -565,7 +565,8 @@ def window_layout(recordings: list[Recording], window_s: float) -> tuple[int, li
     if window_s <= 0:
         raise ValueError("window_s must be positive")
     fs = first.sample_rate_hz
-    T = int(round(window_s * fs))
+    # at most one sample past the longest record, so a huge window_s stays finite
+    T = int(round(min(window_s * fs, 1 + max(r.n_samples for r in recordings))))
     if T < 1:
         raise ConfigError(
             f"window_s {window_s} is shorter than one sample at {fs} Hz"

@@ -84,6 +84,8 @@ def truth_events_from_intervals(
     inside the discarded trailing partial window vanish; overlapping ranges
     merge.
     """
+    if n_windows < 1:  # no windows, no events, and no int() of a huge window_s
+        return []
     T = int(round(window_s * sample_rate_hz))
     ranges: list[list[int]] = []
     for iv in sorted(intervals, key=lambda iv: iv.start_s):

@@ -86,16 +86,29 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor.from_op(x.data * cdf, (x,), backward)
 
 
+def _softmax(a: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax of ``a`` along ``axis``, computed in place in ``a``."""
+    a -= a.max(axis=axis, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=axis, keepdims=True)
+    return a
+
+
+def _softmax_backward(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    """Overwrite ``g``, the gradient at softmax output ``y``, with the input's."""
+    g -= (g * y).sum(axis=axis, keepdims=True)
+    g *= y
+    return g
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     if x.shape[axis] == 0:
         raise ShapeError("softmax over an empty axis")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(np.copy(x.data), axis)
 
     def backward(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        x.accumulate_grad((g - dot) * y)
+        # g is this node's own buffer, dropped by the tape after this rule
+        x.accumulate_grad(_softmax_backward(g, y, axis))
 
     return Tensor.from_op(y, (x,), backward)
 
@@ -277,31 +290,52 @@ def multi_head_attention(
     wv: Tensor,
     wo: Tensor,
 ) -> Tensor:
-    """Bias-free multi-head self-attention over (S, D) or (N, S, D)."""
+    """Bias-free multi-head self-attention over (S, D) or (N, S, D), as one
+    tape node that keeps q, k, v, the softmax ``a`` and ``ctx``; it repeats
+    the arithmetic of the attention composed from Tensor ops, byte for byte."""
     d = x.shape[-1]
     if d % heads:
         raise ShapeError(f"model dim {d} not divisible by {heads} heads")
     for name, w in (("wq", wq), ("wk", wk), ("wv", wv), ("wo", wo)):
         if w.shape != (d, d):
             raise ShapeError(f"{name} must be ({d}, {d}), got {w.shape}")
-    squeeze = x.ndim == 2
-    xb = x.reshape(1, *x.shape) if squeeze else x
-    n, s, _ = xb.shape
+    xd = x.data if x.ndim == 3 else x.data[None]
+    n, s, _ = xd.shape
     dh = d // heads
+    scale = np.asarray(1.0 / math.sqrt(dh), xd.dtype)
 
-    def split(t: Tensor) -> Tensor:
+    def split(t):  # (N, S, D) -> (N, H, S, dh), a view
         return t.reshape(n, s, heads, dh).transpose(0, 2, 1, 3)
 
-    # scaling q (N, H, S, dh) rather than the (N, H, S, S) scores keeps one
-    # score matrix per layer on the tape instead of two
-    q = split(xb @ wq) * (1.0 / math.sqrt(dh))
-    k = split(xb @ wk)
-    v = split(xb @ wv)
-    scores = q @ k.transpose(0, 1, 3, 2)
-    attn = softmax(scores, axis=-1)
-    ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(n, s, d)
-    out = ctx @ wo
-    return out.reshape(s, d) if squeeze else out
+    def merge(t):  # (N, H, S, dh) -> (N, S, D), a copy
+        return t.transpose(0, 2, 1, 3).reshape(n, s, d)
+
+    # scale q (N, H, S, dh), not the larger (N, H, S, S) scores
+    q = split(xd @ wq.data) * scale
+    k = split(xd @ wk.data)
+    v = split(xd @ wv.data)
+    a = _softmax(q @ k.mT, axis=-1)
+    ctx = merge(a @ v)
+
+    def backward(g):
+        g = g.reshape(n, s, d)
+        if wo.requires_grad:
+            wo.accumulate_grad((ctx.mT @ g).sum(axis=0))
+        gctx = split(g @ wo.data.mT)
+        gs = _softmax_backward(gctx @ v.mT, a, axis=-1)  # at the scores
+        # the gradients at x @ wq, x @ wk and x @ wv
+        gms = (merge((gs @ k) * scale), merge((q.mT @ gs).mT), merge(a.mT @ gctx))
+        for w, gm in zip((wq, wk, wv), gms):
+            if w.requires_grad:
+                w.accumulate_grad((xd.mT @ gm).sum(axis=0))
+        if x.requires_grad:  # summed in the order the composed tape adds them
+            gx = gms[0] @ wq.data.mT
+            gx += gms[1] @ wk.data.mT
+            gx += gms[2] @ wv.data.mT
+            x.accumulate_grad(gx.reshape(x.shape))
+
+    out = (ctx @ wo.data).reshape(x.shape)
+    return Tensor.from_op(out, (x, wq, wk, wv, wo), backward)
 
 
 def kaiming_uniform(rng: Rng, shape: tuple[int, ...], fan_in: int) -> np.ndarray:

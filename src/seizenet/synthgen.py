@@ -44,6 +44,14 @@ class CorpusSpec:
             object.__setattr__(self, name, tuple(getattr(self, name)))
             if len(getattr(self, name)) != 2:
                 raise SpecError(f"{name} must be a [low, high] pair")
+        floats = (self.record_s, self.background_amplitude, self.seizure_gain,
+                  *self.seizure_len_s, *self.seizure_freq_range_hz)
+        if any(isinstance(v, bool) for v in floats):
+            raise SpecError("record_s, background_amplitude, seizure_gain and "
+                            "the two ranges take numbers, not booleans")
+        if not 0 < self.background_amplitude < math.inf:  # NaN too
+            raise SpecError(f"background_amplitude must be finite and > 0, "
+                            f"got {self.background_amplitude}")
         if self.subjects < 1 or self.records_per_subject < 1:
             raise SpecError("need at least one subject and one record each")
         if self.seizures_per_record < 0:

@@ -142,6 +142,9 @@ class TestSynth:
             ({"record_s": float("inf")}, "record_s must be a whole number"),
             ({"record_s": float("nan")}, "record_s must be a whole number"),
             ({"seizure_gain": float("nan")}, "seizure_gain must be >= 3"),
+            ({"background_amplitude": float("nan")}, "background_amplitude must be"),
+            ({"background_amplitude": -1}, "background_amplitude must be finite"),
+            ({"record_s": True}, "take numbers, not booleans"),
         ],
     )
     def test_bad_spec_is_config_error(self, tmp_path, capsys, overrides, message):
@@ -591,6 +594,9 @@ class TestConfigErrors:
             # 64 s records hold no 100 s window
             ({"window_s": 100.0}, "pretraining needs at least 2 windows"),
             ({"mask": {"mask_prob": 0.0}}, "pretraining requires mask_prob > 0"),
+            # a window far past every record: no overflow, no huge allocation
+            ({"window_s": 1e300}, "pretraining needs at least 2 windows"),
+            ({"window_s": 1e308}, "pretraining needs at least 2 windows"),
         ],
     )
     def test_pretrain_dry_run_rejects_what_pretrain_rejects(

@@ -615,6 +615,44 @@ class TestLayerNorm:
         assert report.passed(1e-4)
 
 
+def composed_attention(x, heads, wq, wk, wv, wo):
+    """Reference: multi-head attention composed from Tensor ops."""
+    d = x.shape[-1]
+    squeeze = x.ndim == 2
+    xb = x.reshape(1, *x.shape) if squeeze else x
+    n, s, _ = xb.shape
+    dh = d // heads
+
+    def split(t):
+        return t.reshape(n, s, heads, dh).transpose(0, 2, 1, 3)
+
+    q = split(xb @ wq) * (1.0 / math.sqrt(dh))
+    k = split(xb @ wk)
+    v = split(xb @ wv)
+    attn = softmax(q @ k.transpose(0, 1, 3, 2), axis=-1)
+    ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(n, s, d)
+    out = ctx @ wo
+    return out.reshape(s, d) if squeeze else out
+
+
+def attention_run(op, shape, heads, dtype, seed, frozen=()):
+    """Output and the five gradients (x, wq, wk, wv, wo) of ``op`` under a
+    random output gradient; inputs named in ``frozen`` need no gradient."""
+    rng = np.random.default_rng(seed)
+    d = shape[-1]
+    names = ("x", "wq", "wk", "wv", "wo")
+    draws = [rng.normal(size=shape)] + [
+        rng.normal(size=(d, d)) / math.sqrt(d) for _ in range(4)
+    ]
+    inputs = [
+        Tensor(a.astype(dtype), requires_grad=name not in frozen)
+        for name, a in zip(names, draws)
+    ]
+    out = op(inputs[0], heads, *inputs[1:])
+    out.backward(rng.normal(size=shape).astype(dtype))
+    return out, inputs
+
+
 class TestAttention:
     def test_identical_keys_average_the_values(self):
         rng = Rng(15).child("a")
@@ -662,6 +700,48 @@ class TestAttention:
         for i in range(3):
             single = multi_head_attention(Tensor(xb[i]), 2, *ws)
             npt.assert_allclose(batched.data[i], single.data, atol=1e-12)
+
+    @pytest.mark.parametrize("shape, heads", [((3, 7, 8), 2), ((5, 8), 2)])
+    def test_matches_composed_reference_float64(self, shape, heads):
+        out, inputs = attention_run(multi_head_attention, shape, heads, np.float64, 1)
+        ref, ref_inputs = attention_run(
+            composed_attention, shape, heads, np.float64, 1
+        )
+        npt.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
+        for t, r in zip(inputs, ref_inputs):
+            npt.assert_allclose(t.grad, r.grad, rtol=0, atol=1e-12)
+
+    def test_float32_bytes_equal_composed_at_cli_attn_shape(self):
+        # batch 16, 171 positions plus the special token, width 64, 4 heads
+        shape = (16, 172, 64)
+        out, inputs = attention_run(multi_head_attention, shape, 4, np.float32, 2)
+        ref, ref_inputs = attention_run(composed_attention, shape, 4, np.float32, 2)
+        assert out.data.dtype == np.float32
+        assert np.array_equal(out.data, ref.data)
+        for t, r in zip(inputs, ref_inputs):
+            assert t.grad.dtype == np.float32
+            assert np.array_equal(t.grad, r.grad)
+
+    @pytest.mark.parametrize(
+        "frozen", [("wq", "wk", "wv", "wo"), ("x",), ("x", "wk", "wo")]
+    )
+    def test_frozen_inputs_get_no_gradient(self, frozen):
+        args = ((2, 5, 8), 2, np.float64, 3, frozen)
+        _, inputs = attention_run(multi_head_attention, *args)
+        _, ref_inputs = attention_run(composed_attention, *args)
+        for t, r in zip(inputs, ref_inputs):
+            if not t.requires_grad:
+                assert t.grad is None
+            else:
+                npt.assert_allclose(t.grad, r.grad, rtol=0, atol=1e-12)
+
+    def test_one_call_is_one_tape_node(self):
+        rng = Rng(22).child("a")
+        x = rand_tensor(rng, 2, 5, 8)
+        ws = [rand_tensor(rng, 8, 8) for _ in range(4)]
+        assert multi_head_attention(x, 2, *ws)._parents == (x, *ws)
+        x2 = rand_tensor(rng, 5, 8)
+        assert multi_head_attention(x2, 2, *ws)._parents == (x2, *ws)
 
 
 class TestElementwiseOps:
