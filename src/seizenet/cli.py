@@ -16,9 +16,10 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from itertools import repeat
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -65,26 +66,6 @@ NUMERIC_FAILURES = (NumericsError, TrainError)
 # caught after the two above, so every other SeizenetError exits 2
 CONFIG_FAILURES = (SeizenetError, OSError, json.JSONDecodeError)
 
-_EXPERIMENT_KEYS = {
-    "corpus_dir",
-    "out_dir",
-    "seed",
-    "window_s",
-    "model",
-    "mask",
-    "contrastive",
-    "sswce",
-    "optim",
-    "schedule",
-    "sampler",
-    "train",
-    "freeze_policy",
-    "init_policy",
-    "preprocess",
-    "postprocess",
-}
-
-
 @dataclass
 class Experiment:
     corpus_dir: Path
@@ -106,6 +87,17 @@ class Experiment:
     postprocess_methods: list[str]
     postprocess_widths: list[int]
     hash: str
+
+
+# The spec sections of an experiment config: each Experiment field typed by a
+# dataclass is read from the config key of its name and hashed as ``asdict``.
+_SECTIONS = {
+    key: cls for key, cls in get_type_hints(Experiment).items() if is_dataclass(cls)
+}
+_EXPERIMENT_KEYS = {
+    "corpus_dir", "out_dir", "seed", "window_s", "freeze_policy", "init_policy",
+    "preprocess", "postprocess", *_SECTIONS,
+}
 
 
 def _integral(value, name: str) -> int:
@@ -134,16 +126,20 @@ def _integers(value, name: str, depth: int):
     return [_integers(v, f"{name}[{i}]", depth - 1) for i, v in enumerate(value)]
 
 
-def _build_section(cls, section: dict, name: str):
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"bad {name!r} section: expected an object")
+    return value
+
+
+def _build_section(cls, section, name: str):
     """``cls(**section)``, with every integer field through ``_integral``, so
     4.0 loads as 4 and hashes as 4."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"bad {name!r} section: expected an object")
     depth = {f.name: _INTEGER_DEPTH.get(f.type) for f in fields(cls)}
     section = {
         key: value if depth.get(key) is None
         else _integers(value, f"{name}.{key}", depth[key])
-        for key, value in section.items()
+        for key, value in _object(section, name).items()
     }
     try:
         return cls(**section)
@@ -170,8 +166,11 @@ def load_experiment(
 
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
     seed = _integral(seed, "seed")
-    out_dir = Path(out_override or raw.get("out_dir", "out"))
-    corpus_dir = Path(raw.get("corpus_dir", "corpus"))
+    corpus_dir = raw.get("corpus_dir", "corpus")
+    out_dir = out_override or raw.get("out_dir", "out")
+    for key, value in (("corpus_dir", corpus_dir), ("out_dir", out_dir)):
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be a path string, got {value!r}")
     window_s = raw.get("window_s", 8.0)
     try:  # a JSON number: neither a boolean nor a string
         window_s = np.nan if isinstance(window_s, (bool, str)) else float(window_s)
@@ -182,16 +181,10 @@ def load_experiment(
             f"window_s must be a positive number, got {raw['window_s']!r}"
         )
 
-    model = _build_section(ModelConfig, raw.get("model", {}), "model")
-    mask = _build_section(MaskSpec, raw.get("mask", {}), "mask")
-    contrastive = _build_section(
-        ContrastiveSpec, raw.get("contrastive", {}), "contrastive"
-    )
-    sswce = _build_section(SswceSpec, raw.get("sswce", {}), "sswce")
-    optim = _build_section(OptimSpec, raw.get("optim", {}), "optim")
-    schedule = _build_section(ScheduleSpec, raw.get("schedule", {}), "schedule")
-    sampler = _build_section(SamplerSpec, raw.get("sampler", {}), "sampler")
-    train = _build_section(TrainSpec, raw.get("train", {}), "train")
+    sections = {
+        key: _build_section(cls, raw.get(key, {}), key)
+        for key, cls in _SECTIONS.items()
+    }
 
     freeze_policy = raw.get("freeze_policy", "none")
     if freeze_policy not in FREEZE_POLICIES:
@@ -200,7 +193,7 @@ def load_experiment(
     if init_policy not in INIT_POLICIES:
         raise ConfigError(f"init_policy must be one of {INIT_POLICIES}")
 
-    preprocess = dict(raw.get("preprocess", {}))
+    preprocess = _object(raw.get("preprocess", {}), "preprocess")
     unknown = sorted(set(preprocess) - {"filter", "normalization"})
     if unknown:
         raise ConfigError(f"unknown preprocess keys: {', '.join(unknown)}")
@@ -220,35 +213,30 @@ def load_experiment(
             f"{NORMALIZATION_METHODS}, got {normalization!r}"
         )
 
-    postprocess = dict(raw.get("postprocess", {}))
+    postprocess = _object(raw.get("postprocess", {}), "postprocess")
     unknown = sorted(set(postprocess) - {"methods", "widths"})
     if unknown:
         raise ConfigError(f"unknown postprocess keys: {', '.join(unknown)}")
-    methods = list(postprocess.get("methods", POSTPROCESS_METHODS))
+    methods = postprocess.get("methods", POSTPROCESS_METHODS)
+    widths = postprocess.get("widths", [3, 5, 7])
+    for key, value in (("methods", methods), ("widths", widths)):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"postprocess.{key} must be a list, got {value!r}")
+    methods = list(methods)
     unknown = [m for m in methods if m not in POSTPROCESS_METHODS]
     if unknown:
         raise ConfigError(
             f"unknown postprocess methods {unknown}; "
             f"choose from {POSTPROCESS_METHODS}"
         )
-    widths = [
-        _integral(w, "each of postprocess widths")
-        for w in postprocess.get("widths", [3, 5, 7])
-    ]
+    widths = [_integral(w, "each of postprocess widths") for w in widths]
     for w in widths:
         _check_window(w)
 
     resolved = {
         "seed": seed,
         "window_s": window_s,
-        "model": model.to_dict(),
-        "mask": asdict(mask),
-        "contrastive": asdict(contrastive),
-        "sswce": asdict(sswce),
-        "optim": asdict(optim),
-        "schedule": asdict(schedule),
-        "sampler": asdict(sampler),
-        "train": asdict(train),
+        **{key: asdict(spec) for key, spec in sections.items()},
         "freeze_policy": freeze_policy,
         "init_policy": init_policy,
         "preprocess": {
@@ -259,18 +247,11 @@ def load_experiment(
     }
 
     return Experiment(
-        corpus_dir=corpus_dir,
-        out_dir=out_dir,
+        corpus_dir=Path(corpus_dir),
+        out_dir=Path(out_dir),
         seed=seed,
         window_s=window_s,
-        model=model,
-        mask=mask,
-        contrastive=contrastive,
-        sswce=sswce,
-        optim=optim,
-        schedule=schedule,
-        sampler=sampler,
-        train=train,
+        **sections,
         freeze_policy=freeze_policy,
         init_policy=init_policy,
         filter_spec=filter_spec,
@@ -303,12 +284,7 @@ def _corpus_hash(corpus_dir: Path) -> str | None:
 
 def _score_dict(score: EventScore) -> dict:
     return {
-        "detected_events": score.detected_events,
-        "total_events": score.total_events,
-        "false_alarms": score.false_alarms,
-        "duration_h": score.duration_h,
-        "sensitivity": score.sensitivity,
-        "fp_per_h": score.fp_per_h,
+        **asdict(score), "sensitivity": score.sensitivity, "fp_per_h": score.fp_per_h
     }
 
 
@@ -333,6 +309,24 @@ def _losses_csv(result) -> str:
     ):
         lines.append(f"{epoch},{train_loss!r},{val_loss!r}")
     return "\n".join(lines) + "\n"
+
+
+def _stage_header(exp: Experiment, stage: str) -> dict:
+    """The fields that open every training stage's result JSON."""
+    return {
+        "stage": stage,
+        "config_hash": exp.hash,
+        "corpus_hash": _corpus_hash(exp.corpus_dir),
+        "seed": exp.seed,
+    }
+
+
+def _save_stage(exp: Experiment, name: str, stage: str, result) -> None:
+    """Write ``<name>.ckpt``, tagged with the model and config hash that
+    ``_require_checkpoint`` checks, and ``<name>_losses.csv``."""
+    meta = {"model": asdict(exp.model), "experiment_hash": exp.hash, "stage": stage}
+    save_checkpoint(exp.out_dir / f"{name}.ckpt", result.params, meta)
+    _write_atomic(exp.out_dir / f"{name}_losses.csv", _losses_csv(result))
 
 
 def _train_summary(result) -> dict:
@@ -413,22 +407,9 @@ def cmd_pretrain(args) -> int:
         schedule_spec=exp.schedule,
         train_spec=exp.train,
     )
-    exp.out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(
-        exp.out_dir / "pretrain.ckpt",
-        result.params,
-        {
-            "model": exp.model.to_dict(),
-            "experiment_hash": exp.hash,
-            "stage": "pretrain",
-        },
-    )
-    _write_atomic(exp.out_dir / "pretrain_losses.csv", _losses_csv(result))
+    _save_stage(exp, "pretrain", "pretrain", result)
     payload = {
-        "stage": "pretrain",
-        "config_hash": exp.hash,
-        "corpus_hash": _corpus_hash(exp.corpus_dir),
-        "seed": exp.seed,
+        **_stage_header(exp, "pretrain"),
         **_train_summary(result),
         "final_alignment_gap": result.info.get("final_alignment_gap"),
     }
@@ -453,7 +434,6 @@ def cmd_second_pretrain(args) -> int:
     init = None
     if exp.init_policy != "random":
         init = _require_checkpoint(exp.out_dir / "pretrain.ckpt", exp)
-    exp.out_dir.mkdir(parents=True, exist_ok=True)
     summaries = {}
     for subject in subjects:
         result = run_second_pretraining(
@@ -469,30 +449,13 @@ def cmd_second_pretrain(args) -> int:
             schedule_spec=exp.schedule,
             train_spec=exp.train,
         )
-        save_checkpoint(
-            exp.out_dir / f"second_{subject}.ckpt",
-            result.params,
-            {
-                "model": exp.model.to_dict(),
-                "experiment_hash": exp.hash,
-                "stage": f"second:{subject}",
-            },
-        )
-        _write_atomic(
-            exp.out_dir / f"second_{subject}_losses.csv", _losses_csv(result)
-        )
+        _save_stage(exp, f"second_{subject}", f"second:{subject}", result)
         summaries[subject] = {
             **_train_summary(result),
             "train_subjects": result.info["train_subjects"],
         }
         print(f"second-pretrained target {subject}: {result.epochs_run} epochs")
-    payload = {
-        "stage": "second-pretrain",
-        "config_hash": exp.hash,
-        "corpus_hash": _corpus_hash(exp.corpus_dir),
-        "seed": exp.seed,
-        "subjects": summaries,
-    }
+    payload = {**_stage_header(exp, "second-pretrain"), "subjects": summaries}
     _write_atomic(exp.out_dir / "second_result.json", _dump_json(payload))
     return 0
 
@@ -624,10 +587,7 @@ def cmd_loocv(args) -> int:
     overall = aggregate([s for scores in scores_by_subject.values() for s in scores])
 
     payload = {
-        "stage": "loocv",
-        "config_hash": exp.hash,
-        "corpus_hash": _corpus_hash(exp.corpus_dir),
-        "seed": exp.seed,
+        **_stage_header(exp, "loocv"),
         "per_subject": {s: _score_dict(v) for s, v in per_subject.items()},
         "overall": _score_dict(overall),
     }

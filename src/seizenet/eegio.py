@@ -188,6 +188,11 @@ def _ascii(data: bytes, pos: int, n: int) -> tuple[str, int]:
     return data[pos : pos + n].decode("latin-1"), pos + n
 
 
+def _text_field(data: bytes, pos: int, n: int, what: str) -> tuple[str, int]:
+    raw, newpos = _ascii(data, pos, n)
+    return raw.strip(), newpos
+
+
 def _int_field(data: bytes, pos: int, n: int, what: str) -> tuple[int, int]:
     raw, newpos = _ascii(data, pos, n)
     try:
@@ -202,6 +207,22 @@ def _float_field(data: bytes, pos: int, n: int, what: str) -> tuple[float, int]:
         return float(raw.strip()), newpos
     except ValueError:
         raise ParseError(f"non-numeric {what} field {raw!r}", offset=pos) from None
+
+
+# The per-signal header, stored field-major (every signal's label, then every
+# signal's transducer, ...): field name, width in bytes, and its parser.
+_SIGNAL_FIELDS = (
+    ("label", 16, _text_field),
+    ("transducer", 80, _text_field),
+    ("physical-dimension", 8, _text_field),
+    ("physical-min", 8, _float_field),
+    ("physical-max", 8, _float_field),
+    ("digital-min", 8, _int_field),
+    ("digital-max", 8, _int_field),
+    ("prefiltering", 80, _text_field),
+    ("samples-per-record", 8, _int_field),
+    ("reserved", 32, _text_field),
+)
 
 
 def parse_edf(data: bytes) -> Recording:
@@ -238,39 +259,15 @@ def parse_edf(data: bytes) -> Recording:
             offset=184,
         )
 
-    # Signal headers are field-major: all labels, then all transducers, ...
-    labels = []
-    for _ in range(ns):
-        lab, pos = _ascii(data, pos, 16)
-        labels.append(lab.strip())
-    for _ in range(ns):  # transducer
-        _, pos = _ascii(data, pos, 80)
-    for _ in range(ns):  # physical dimension
-        _, pos = _ascii(data, pos, 8)
-    phys_min = []
-    for i in range(ns):
-        v, pos = _float_field(data, pos, 8, f"physical-min[{i}]")
-        phys_min.append(v)
-    phys_max = []
-    for i in range(ns):
-        v, pos = _float_field(data, pos, 8, f"physical-max[{i}]")
-        phys_max.append(v)
-    dig_min = []
-    for i in range(ns):
-        v, pos = _int_field(data, pos, 8, f"digital-min[{i}]")
-        dig_min.append(v)
-    dig_max = []
-    for i in range(ns):
-        v, pos = _int_field(data, pos, 8, f"digital-max[{i}]")
-        dig_max.append(v)
-    for _ in range(ns):  # prefiltering
-        _, pos = _ascii(data, pos, 80)
-    spr = []
-    for i in range(ns):
-        v, pos = _int_field(data, pos, 8, f"samples-per-record[{i}]")
-        spr.append(v)
-    for _ in range(ns):  # reserved
-        _, pos = _ascii(data, pos, 32)
+    signal = {}
+    for name, width, parse in _SIGNAL_FIELDS:
+        signal[name] = []
+        for i in range(ns):
+            value, pos = parse(data, pos, width, f"{name}[{i}]")
+            signal[name].append(value)
+    labels, spr = signal["label"], signal["samples-per-record"]
+    phys_min, phys_max = signal["physical-min"], signal["physical-max"]
+    dig_min, dig_max = signal["digital-min"], signal["digital-max"]
 
     if any(lab == "EDF Annotations" for lab in labels):
         raise UnsupportedError("EDF+ annotation channels are not supported")
@@ -338,12 +335,12 @@ def _fmt_field(value, width: int) -> bytes:
     return s.ljust(width).encode("latin-1")
 
 
-def _fmt_float8(value: float) -> tuple[bytes, float]:
-    """Format a float into 8 ascii chars; return bytes and the parsed-back value."""
+def _fmt_float8(value: float) -> tuple[str, float]:
+    """Format a float into 8 ascii chars; return them and the parsed-back value."""
     for fmt in ("%.8g", "%.7g", "%.6g", "%.5g", "%.4g", "%.3g"):
         s = fmt % value
         if len(s) <= 8:
-            return s.ljust(8).encode("latin-1"), float(s)
+            return s, float(s)
     raise ValueError(f"cannot format {value} in 8 chars")
 
 
@@ -363,7 +360,7 @@ def write_edf(rec: Recording) -> bytes:
 
     # Outward-padded physical ranges, snapped to their 8-char ascii encoding
     # so quantization uses exactly the values a reader will see.
-    pmin_bytes, pmax_bytes = [], []
+    pmin_text, pmax_text = [], []
     pmin_vals, pmax_vals = [], []
     for c in range(ns):
         x = rec.samples[c]
@@ -372,14 +369,14 @@ def write_edf(rec: Recording) -> bytes:
         if hi <= lo:
             lo, hi = lo - 1.0, hi + 1.0
         margin = 1e-3 * (hi - lo)
-        b_lo, v_lo = _fmt_float8(lo - margin)
-        b_hi, v_hi = _fmt_float8(hi + margin)
+        t_lo, v_lo = _fmt_float8(lo - margin)
+        t_hi, v_hi = _fmt_float8(hi + margin)
         if not (v_lo <= lo and hi <= v_hi):
             # ascii rounding moved an edge inward; widen once more
-            b_lo, v_lo = _fmt_float8(lo - 10 * margin)
-            b_hi, v_hi = _fmt_float8(hi + 10 * margin)
-        pmin_bytes.append(b_lo)
-        pmax_bytes.append(b_hi)
+            t_lo, v_lo = _fmt_float8(lo - 10 * margin)
+            t_hi, v_hi = _fmt_float8(hi + 10 * margin)
+        pmin_text.append(t_lo)
+        pmax_text.append(t_hi)
         pmin_vals.append(v_lo)
         pmax_vals.append(v_hi)
 
@@ -395,26 +392,18 @@ def write_edf(rec: Recording) -> bytes:
     out += _fmt_field(n_records, 8)
     out += _fmt_field(1, 8)  # one-second data records
     out += _fmt_field(ns, 4)
-    for lab in rec.channels:
-        out += _fmt_field(lab[:16], 16)
-    for _ in range(ns):
-        out += _fmt_field("", 80)  # transducer
-    for _ in range(ns):
-        out += _fmt_field("uV", 8)
-    for b in pmin_bytes:
-        out += b
-    for b in pmax_bytes:
-        out += b
-    for _ in range(ns):
-        out += _fmt_field(DIGITAL_MIN, 8)
-    for _ in range(ns):
-        out += _fmt_field(DIGITAL_MAX, 8)
-    for _ in range(ns):
-        out += _fmt_field("", 80)  # prefiltering
-    for _ in range(ns):
-        out += _fmt_field(fs, 8)
-    for _ in range(ns):
-        out += _fmt_field("", 32)
+    signal = {
+        "label": [lab[:16] for lab in rec.channels],
+        "physical-dimension": ["uV"] * ns,
+        "physical-min": pmin_text,
+        "physical-max": pmax_text,
+        "digital-min": [DIGITAL_MIN] * ns,
+        "digital-max": [DIGITAL_MAX] * ns,
+        "samples-per-record": [fs] * ns,
+    }
+    for name, width, _ in _SIGNAL_FIELDS:  # the rest stay blank
+        for value in signal.get(name, [""] * ns):
+            out += _fmt_field(value, width)
 
     gain = np.array(
         [

@@ -145,24 +145,6 @@ class ModelConfig:
             classifier_dims=_default_classifier_dims(width),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "in_channels": self.in_channels,
-            "conv_blocks": self.conv_blocks,
-            "conv_channels": self.conv_channels,
-            "conv_strides": list(self.conv_strides),
-            "transformer_layers": self.transformer_layers,
-            "heads": self.heads,
-            "model_dim": self.model_dim,
-            "ffn_dim": self.ffn_dim,
-            "dropout_p": self.dropout_p,
-            "classifier_dims": [list(p) for p in self.classifier_dims],
-            "special_token_value": self.special_token_value,
-            "group_norm_groups": self.group_norm_groups,
-            "pos_conv_kernel": self.pos_conv_kernel,
-            "pos_conv_groups": self.pos_conv_groups,
-        }
-
 
 @dataclass(frozen=True)
 class MaskSpec:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,12 @@ from .nn.checkpoint import config_hash
 from .rand import Rng
 
 MIN_SEIZURE_GAP_S = 16.0
+# ``write_edf`` stores each channel's physical range in 8 ASCII characters,
+# which hold any value above -1e7 ("-9999999") but not every one below it.
+# Samples are unit-variance pink noise times the amplitude plus bursts that
+# peak at gain x amplitude, so amplitude x (gain + 10) under this bound keeps
+# every sample, and the range's margin, inside it.
+MAX_PEAK = 1e7
 
 
 @dataclass(frozen=True)
@@ -68,6 +74,12 @@ class CorpusSpec:
                 f"seizure_gain must be >= 3 for separability, got "
                 f"{self.seizure_gain}"
             )
+        if not self.background_amplitude * (self.seizure_gain + 10) < MAX_PEAK:
+            raise SpecError(
+                f"background_amplitude x (seizure_gain + 10) must stay below "
+                f"{MAX_PEAK:g} for the EDF physical range, got "
+                f"{self.background_amplitude} x ({self.seizure_gain} + 10)"
+            )
         f_lo, f_hi = self.seizure_freq_range_hz
         if not 0 < f_lo <= f_hi < self.sample_rate_hz / 2:
             raise SpecError(
@@ -75,24 +87,9 @@ class CorpusSpec:
                 f"fit below Nyquist"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "subjects": self.subjects,
-            "records_per_subject": self.records_per_subject,
-            "record_s": self.record_s,
-            "seizures_per_record": self.seizures_per_record,
-            "seizure_len_s": list(self.seizure_len_s),
-            "background_amplitude": self.background_amplitude,
-            "seizure_gain": self.seizure_gain,
-            "seizure_freq_range_hz": list(self.seizure_freq_range_hz),
-            "sample_rate_hz": self.sample_rate_hz,
-            "channels": self.channels,
-            "seed": self.seed,
-        }
-
 
 def spec_hash(spec: CorpusSpec) -> str:
-    return config_hash(spec.to_dict())
+    return config_hash(asdict(spec))
 
 
 def subject_id(index: int) -> str:
@@ -188,7 +185,7 @@ def generate_recording(
 def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict:
     """Write `subject/record.edf` files, annotations.csv, and manifest.json.
 
-    Returns the manifest dict.  Regenerating with an equal spec reproduces
+    Returns the manifest as written.  Regenerating with an equal spec reproduces
     every byte.
     """
     root = Path(out_dir)
@@ -218,11 +215,10 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict:
         "".join(line + "\n" for line in annotation_lines)
     )
     manifest = {
-        "spec": spec.to_dict(),
+        "spec": asdict(spec),
         "spec_hash": spec_hash(spec),
         "records": records,
     }
-    (root / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
-    return manifest
+    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    (root / "manifest.json").write_text(text)
+    return json.loads(text)  # lists where the spec holds tuples, as on disk

@@ -13,7 +13,7 @@ fixed seed reproduces losses, parameters, and test probabilities exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .errors import ConfigError, ProtocolError, TrainError
 from .evalpost import truth_events_from_intervals
 from .model import (
     COMPUTE_DTYPE,
-    FREEZE_POLICIES,
     MaskSpec,
     ModelConfig,
     forward_classifier,
@@ -116,7 +115,7 @@ class FoldResult:
 
 def checkpoint_source(result: TrainResult) -> tuple[dict[str, np.ndarray], dict]:
     """Adapt a stage's result into the (params, config) init source format."""
-    return _snapshot(result.params), result.config.to_dict()
+    return _snapshot(result.params), asdict(result.config)
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +552,6 @@ def run_fold(
     epoch_callback=None,
 ) -> FoldResult:
     """Fine-tune on the fold's training records and score its test record."""
-    if freeze_policy not in FREEZE_POLICIES:
-        raise ConfigError(f"freeze_policy must be one of {FREEZE_POLICIES}")
-
     splits = {
         name: np.flatnonzero(np.isin(dataset.record, records))
         for name, records in (

@@ -50,7 +50,7 @@ MODEL = {
 }
 
 
-def experiment_dict(corpus_dir, out_dir, **overrides):
+def experiment_dict(corpus_dir, out_dir, /, **overrides):
     base = {
         "corpus_dir": str(corpus_dir),
         "out_dir": str(out_dir),
@@ -153,6 +153,24 @@ class TestSynth:
         code = main(["synth", "--config", str(cfg), "--out", str(out), "--dry-run"])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("amplitude", [5e6, 1e300])
+    def test_amplitude_past_the_edf_range_writes_nothing(
+        self, tmp_path, capsys, amplitude
+    ):
+        spec = {
+            "subjects": 1,
+            "records_per_subject": 1,
+            "record_s": 64,
+            "seizures_per_record": 0,
+            "channels": 1,
+            "background_amplitude": amplitude,
+        }
+        cfg = write_json(tmp_path / "corpus.json", spec)
+        out = tmp_path / "corpus"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "for the EDF physical range" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_override_changes_hash(self, workdir, tmp_path):
@@ -506,6 +524,12 @@ class TestConfigErrors:
             ({"postprocess": {"widths": [3.9, 5]}}, "postprocess widths"),
             ({"preprocess": {"normalization": "zscore"}}, "preprocess.normalization"),
             ({"preprocess": {"filter": {"order": 2.5}}}, "order must be an integer"),
+            ({"preprocess": None}, "bad 'preprocess' section"),
+            ({"postprocess": None}, "bad 'postprocess' section"),
+            ({"postprocess": {"widths": 3}}, "postprocess.widths must be a list"),
+            ({"postprocess": {"methods": "none"}}, "postprocess.methods must be a list"),
+            ({"corpus_dir": 5}, "corpus_dir must be a path string"),
+            ({"out_dir": None}, "out_dir must be a path string"),
         ],
     )
     def test_bad_value_is_config_error_at_load(

@@ -5,6 +5,8 @@ arithmetic, masking semantics, zero-weight propagation, init/freeze
 policies, and gradient flow on small dimensions.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -94,7 +96,7 @@ class TestModelConfig:
 
     def test_dict_round_trip(self):
         config = tiny_config()
-        assert ModelConfig(**config.to_dict()) == config
+        assert ModelConfig(**asdict(config)) == config
 
 
 class TestEncode:
@@ -330,7 +332,7 @@ class TestInitPolicies:
     def _checkpointed(self, layers, seed):
         config = tiny_config(layers)
         params = init_weights(config, "random", Rng(seed).child("init"))
-        blob = checkpoint_bytes(params, config.to_dict())
+        blob = checkpoint_bytes(params, asdict(config))
         return parse_checkpoint(blob)
 
     def test_load_shared_copies_common_layers(self):

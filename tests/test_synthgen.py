@@ -7,6 +7,7 @@ subject signature frequency.
 
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +68,7 @@ class TestSpecValidation:
 
     def test_dict_round_trip(self):
         spec = small_spec()
-        assert CorpusSpec(**spec.to_dict()) == spec
+        assert CorpusSpec(**asdict(spec)) == spec
 
 
 class TestRecording:

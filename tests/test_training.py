@@ -7,6 +7,7 @@ exercising the real code paths.
 
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -506,7 +507,7 @@ class TestRunFold:
         ).train.params
         init = (
             {n: t.data.copy() for n, t in init_params.items()},
-            config.to_dict(),
+            asdict(config),
         )
         trained = run_fold(
             plan,
@@ -534,6 +535,18 @@ class TestRunFold:
         )
         with pytest.raises(ProtocolError):
             run_fold(plan, subject_ds, tiny_config(), Rng(0).child("fold"))
+
+    def test_unknown_freeze_policy_gives_config_error(self, dataset):
+        plan, subject_ds = self.make_plan(dataset)
+        with pytest.raises(ConfigError, match="unknown freeze policy"):
+            run_fold(
+                plan,
+                subject_ds,
+                tiny_config(),
+                Rng(0).child("fold"),
+                freeze_policy="freeze_all",
+                **fast_specs(),
+            )
 
     def test_sampler_variants_run(self, dataset):
         plan, subject_ds = self.make_plan(dataset)
