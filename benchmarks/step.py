@@ -220,8 +220,8 @@ def _corpus_cases(sn, workdir: Path, src: Path):
         return sn.training.prepare_recordings(
             recordings,
             window_s=exp.window_s,
-            filter_spec=exp.filter_spec,
-            normalization=exp.normalization,
+            filter_spec=exp.preprocess.filter,
+            normalization=exp.preprocess.normalization,
         )
 
     def run(_):
@@ -235,7 +235,7 @@ def _corpus_cases(sn, workdir: Path, src: Path):
 
     def bandpass(_):
         t0 = time.perf_counter()
-        sn.preprocess.preprocess_recording_samples(samples, exp.filter_spec)
+        sn.preprocess.preprocess_recording_samples(samples, exp.preprocess.filter)
         return {"bandpass": time.perf_counter() - t0}
 
     dry_run = [sys.executable, "-m", "seizenet", "pretrain", "--dry-run"]

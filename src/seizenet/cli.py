@@ -16,10 +16,11 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass, replace
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -35,8 +36,8 @@ from .errors import (
 from .evalpost import (
     POSTPROCESS_METHODS,
     EventScore,
+    PostprocessSpec,
     PredictionTrack,
-    _check_window,
     aggregate,
     postprocess_labels,
     score_track,
@@ -46,7 +47,7 @@ from .model import FREEZE_POLICIES, INIT_POLICIES, MaskSpec, ModelConfig
 from .nn.checkpoint import config_hash, load_checkpoint, save_checkpoint, write_atomic
 from .objectives import ContrastiveSpec, SswceSpec
 from .optim import OptimSpec, ScheduleSpec
-from .preprocess import NORMALIZATION_METHODS, FilterSpec
+from .preprocess import PreprocessSpec
 from .rand import Rng
 from .synthgen import CorpusSpec, generate_corpus
 from .training import (
@@ -68,43 +69,58 @@ CONFIG_FAILURES = (SeizenetError, OSError, json.JSONDecodeError)
 
 @dataclass
 class Experiment:
-    corpus_dir: Path
-    out_dir: Path
-    seed: int
-    window_s: float
-    model: ModelConfig
-    mask: MaskSpec
-    contrastive: ContrastiveSpec
-    sswce: SswceSpec
-    optim: OptimSpec
-    schedule: ScheduleSpec
-    sampler: SamplerSpec
-    train: TrainSpec
-    freeze_policy: str
-    init_policy: str
-    filter_spec: FilterSpec | None
-    normalization: str | None
-    postprocess_methods: list[str]
-    postprocess_widths: list[int]
-    hash: str
+    """An experiment config as loaded.
 
+    Each field is read from the config key of its name. A field typed by a
+    dataclass is a spec section, owned and checked by its module.
+    """
 
-# The spec sections of an experiment config: each Experiment field typed by a
-# dataclass is read from the config key of its name and hashed as ``asdict``.
-_SECTIONS = {
-    key: cls for key, cls in get_type_hints(Experiment).items() if is_dataclass(cls)
-}
-_EXPERIMENT_KEYS = {
-    "corpus_dir", "out_dir", "seed", "window_s", "freeze_policy", "init_policy",
-    "preprocess", "postprocess", *_SECTIONS,
-}
+    corpus_dir: Path = Path("corpus")
+    out_dir: Path = Path("out")
+    seed: int = 0
+    window_s: float = 8.0
+    model: ModelConfig = ModelConfig()
+    mask: MaskSpec = MaskSpec()
+    contrastive: ContrastiveSpec = ContrastiveSpec()
+    sswce: SswceSpec = SswceSpec()
+    optim: OptimSpec = OptimSpec()
+    schedule: ScheduleSpec = ScheduleSpec()
+    sampler: SamplerSpec = SamplerSpec()
+    train: TrainSpec = TrainSpec()
+    freeze_policy: str = "none"
+    init_policy: str = "load_shared"
+    preprocess: PreprocessSpec = PreprocessSpec()
+    postprocess: PostprocessSpec = PostprocessSpec()
+
+    def __post_init__(self):
+        for key in ("corpus_dir", "out_dir"):
+            value = getattr(self, key)
+            if not isinstance(value, (str, Path)):
+                raise ConfigError(f"{key} must be a path string, got {value!r}")
+            setattr(self, key, Path(value))
+        window_s = self.window_s  # a JSON number, neither a boolean nor a string
+        if type(window_s) not in (int, float) or not 0 < window_s <= sys.float_info.max:
+            raise ConfigError(f"window_s must be a positive number, got {window_s!r}")
+        self.window_s = float(window_s)
+        if self.freeze_policy not in FREEZE_POLICIES:
+            raise ConfigError(f"freeze_policy must be one of {FREEZE_POLICIES}")
+        if self.init_policy not in INIT_POLICIES:
+            raise ConfigError(f"init_policy must be one of {INIT_POLICIES}")
+
+    @cached_property
+    def hash(self) -> str:
+        """The hash of every field but where inputs and outputs live, so
+        moving an experiment between directories keeps its identity."""
+        config = asdict(self)
+        del config["corpus_dir"], config["out_dir"]
+        return config_hash(config)
 
 
 def _integral(value, name: str) -> int:
-    """``int(value)``, else ConfigError naming ``name``: 3.0 is 3; 3.9 and
-    booleans are refused."""
+    """``int(value)``, else ConfigError naming ``name``: 3.0 is 3; 3.9,
+    booleans and strings are refused."""
     try:
-        if isinstance(value, bool) or (
+        if isinstance(value, (bool, str)) or (
             isinstance(value, float) and not value.is_integer()
         ):
             raise ValueError(value)
@@ -114,37 +130,70 @@ def _integral(value, name: str) -> int:
 
 
 # how many list levels down a field's integers sit, by its annotation
-_INTEGER_DEPTH = {"int": 0, "tuple[int, ...]": 1, "tuple[tuple[int, int], ...]": 2}
+_INTEGER_DEPTH = {int: 0, tuple[int, ...]: 1, tuple[tuple[int, int], ...]: 2}
+# the annotations of fields that take numbers, bare or as a [low, high] pair
+_FLOATS = (float, tuple[float, float])
 
 
-def _integers(value, name: str, depth: int):
-    """``value`` with ``_integral`` applied ``depth`` list levels down."""
+def _integers(value, name: str, depth: int, each: str = ""):
+    """``value`` with ``_integral`` applied ``depth`` list levels down; its
+    elements are named in words, as "each of postprocess widths"."""
     if depth == 0:
         return _integral(value, name)
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{name} must be a list, got {value!r}")
-    return [_integers(v, f"{name}[{i}]", depth - 1) for i, v in enumerate(value)]
+    each = each or "each of " + name.replace(".", " ")
+    return [_integers(v, each, depth - 1, each) for v in value]
 
 
-def _object(value, name: str) -> dict:
-    if not isinstance(value, dict):
+def _build_section(cls, section, name: str, prefix: str | None = None):
+    """``cls(**section)``, each key read by its field's annotation.
+
+    Unknown keys are refused. A dataclass field, or an ``X | None`` field
+    given an object, is a nested section. Integer fields go through
+    ``_integral``, so 4.0 loads and hashes as 4. Once ``cls`` has checked
+    its own values, or failed on them with a TypeError, a float field
+    refuses all but numbers, booleans and strings too; ints stay ints, so
+    their hashes do not move. A field is named ``<prefix><key>``,
+    ``prefix`` being ``<name>.`` unless given.
+    """
+    prefix = f"{name}." if prefix is None else prefix
+    if not isinstance(section, dict):
         raise ConfigError(f"bad {name!r} section: expected an object")
-    return value
-
-
-def _build_section(cls, section, name: str):
-    """``cls(**section)``, with every integer field through ``_integral``, so
-    4.0 loads as 4 and hashes as 4."""
-    depth = {f.name: _INTEGER_DEPTH.get(f.type) for f in fields(cls)}
-    section = {
-        key: value if depth.get(key) is None
-        else _integers(value, f"{name}.{key}", depth[key])
-        for key, value in _object(section, name).items()
-    }
+    hints = get_type_hints(cls)
+    unknown = sorted(set(section) - hints.keys())
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {', '.join(unknown)}")
+    values = {}
+    for key, value in section.items():
+        hint = hints[key]
+        nested = next((c for c in (hint, *get_args(hint)) if is_dataclass(c)), None)
+        if nested is hint or (nested and isinstance(value, dict)):
+            value = _build_section(nested, value, prefix + key)
+        elif hint in _INTEGER_DEPTH:
+            value = _integers(value, prefix + key, _INTEGER_DEPTH[hint])
+        values[key] = value
+    numbers = [key for key in values if hints[key] in _FLOATS]
     try:
-        return cls(**section)
-    except TypeError as err:
+        spec = cls(**values)
+    except TypeError as err:  # a check that compared a string, say
+        _check_numbers({key: values[key] for key in numbers}, prefix)
         raise ConfigError(f"bad {name!r} section: {err}") from None
+    _check_numbers({key: getattr(spec, key) for key in numbers}, prefix)
+    return spec
+
+
+def _check_numbers(values: dict, prefix: str) -> None:
+    """ConfigError unless each value is a number or a list of numbers."""
+    for key, value in values.items():
+        if not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in (value if isinstance(value, (list, tuple)) else (value,))
+        ):
+            raise ConfigError(
+                f"{prefix}{key} must be a number, got {value!r}: float "
+                f"fields take numbers, not booleans or strings"
+            )
 
 
 def load_experiment(
@@ -152,114 +201,16 @@ def load_experiment(
     seed_override: int | None = None,
     out_override: str | None = None,
 ) -> Experiment:
-    """Parse, default-fill, and hash an experiment config file.
-
-    The hash covers every behavioral knob but not where inputs and outputs
-    live, so moving an experiment between directories keeps its identity.
-    """
+    """Read an experiment config file: every key through ``_build_section``,
+    with ``Experiment``'s defaults for those it leaves out."""
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
         raise ConfigError("experiment config must be a JSON object")
-    unknown = sorted(set(raw) - _EXPERIMENT_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-
-    seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    seed = _integral(seed, "seed")
-    corpus_dir = raw.get("corpus_dir", "corpus")
-    out_dir = out_override or raw.get("out_dir", "out")
-    for key, value in (("corpus_dir", corpus_dir), ("out_dir", out_dir)):
-        if not isinstance(value, str):
-            raise ConfigError(f"{key} must be a path string, got {value!r}")
-    window_s = raw.get("window_s", 8.0)
-    try:  # a JSON number: neither a boolean nor a string
-        window_s = np.nan if isinstance(window_s, (bool, str)) else float(window_s)
-    except (TypeError, OverflowError):
-        window_s = np.nan
-    if not 0 < window_s < np.inf:
-        raise ConfigError(
-            f"window_s must be a positive number, got {raw['window_s']!r}"
-        )
-
-    sections = {
-        key: _build_section(cls, raw.get(key, {}), key)
-        for key, cls in _SECTIONS.items()
-    }
-
-    freeze_policy = raw.get("freeze_policy", "none")
-    if freeze_policy not in FREEZE_POLICIES:
-        raise ConfigError(f"freeze_policy must be one of {FREEZE_POLICIES}")
-    init_policy = raw.get("init_policy", "load_shared")
-    if init_policy not in INIT_POLICIES:
-        raise ConfigError(f"init_policy must be one of {INIT_POLICIES}")
-
-    preprocess = _object(raw.get("preprocess", {}), "preprocess")
-    unknown = sorted(set(preprocess) - {"filter", "normalization"})
-    if unknown:
-        raise ConfigError(f"unknown preprocess keys: {', '.join(unknown)}")
-    filter_section = preprocess.get("filter", "default")
-    if filter_section == "default":
-        filter_spec = FilterSpec()
-    elif filter_section is None:
-        filter_spec = None
-    elif isinstance(filter_section, dict):
-        filter_spec = _build_section(FilterSpec, filter_section, "preprocess.filter")
-    else:
-        raise ConfigError("preprocess.filter must be null, 'default', or an object")
-    normalization = preprocess.get("normalization", "meanstd")
-    if normalization not in (None, *NORMALIZATION_METHODS):
-        raise ConfigError(
-            f"preprocess.normalization must be null or one of "
-            f"{NORMALIZATION_METHODS}, got {normalization!r}"
-        )
-
-    postprocess = _object(raw.get("postprocess", {}), "postprocess")
-    unknown = sorted(set(postprocess) - {"methods", "widths"})
-    if unknown:
-        raise ConfigError(f"unknown postprocess keys: {', '.join(unknown)}")
-    methods = postprocess.get("methods", POSTPROCESS_METHODS)
-    widths = postprocess.get("widths", [3, 5, 7])
-    for key, value in (("methods", methods), ("widths", widths)):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"postprocess.{key} must be a list, got {value!r}")
-    methods = list(methods)
-    unknown = [m for m in methods if m not in POSTPROCESS_METHODS]
-    if unknown:
-        raise ConfigError(
-            f"unknown postprocess methods {unknown}; "
-            f"choose from {POSTPROCESS_METHODS}"
-        )
-    widths = [_integral(w, "each of postprocess widths") for w in widths]
-    for w in widths:
-        _check_window(w)
-
-    resolved = {
-        "seed": seed,
-        "window_s": window_s,
-        **{key: asdict(spec) for key, spec in sections.items()},
-        "freeze_policy": freeze_policy,
-        "init_policy": init_policy,
-        "preprocess": {
-            "filter": None if filter_spec is None else asdict(filter_spec),
-            "normalization": normalization,
-        },
-        "postprocess": {"methods": methods, "widths": widths},
-    }
-
-    return Experiment(
-        corpus_dir=Path(corpus_dir),
-        out_dir=Path(out_dir),
-        seed=seed,
-        window_s=window_s,
-        **sections,
-        freeze_policy=freeze_policy,
-        init_policy=init_policy,
-        filter_spec=filter_spec,
-        normalization=normalization,
-        postprocess_methods=methods,
-        postprocess_widths=widths,
-        hash=config_hash(resolved),
-    )
+    if seed_override is not None:
+        raw["seed"] = seed_override
+    if out_override:
+        raw["out_dir"] = out_override
+    return _build_section(Experiment, raw, "config", prefix="")
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +296,8 @@ def _prepare(exp: Experiment, recordings):
     return prepare_recordings(
         recordings,
         window_s=exp.window_s,
-        filter_spec=exp.filter_spec,
-        normalization=exp.normalization,
+        filter_spec=exp.preprocess.filter,
+        normalization=exp.preprocess.normalization,
     )
 
 
@@ -604,8 +555,11 @@ def cmd_loocv(args) -> int:
 
 def cmd_eval(args) -> int:
     exp = load_experiment(args.config, args.seed, args.out)
+    post = exp.postprocess  # --method and --w pass the same checks
+    if args.method:
+        post = replace(post, methods=(args.method,))
     if args.w is not None:
-        _check_window(args.w)
+        post = replace(post, widths=(args.w,))
     pred_dir = exp.out_dir
     files = sorted(pred_dir.glob("fold_*.json"))
     if not files:
@@ -628,17 +582,14 @@ def cmd_eval(args) -> int:
             )
         )
 
-    methods = [args.method] if args.method else exp.postprocess_methods
-    widths = [args.w] if args.w is not None else exp.postprocess_widths
-
     if args.dry_run:
-        n_rows = sum(1 if m == "none" else len(widths) for m in methods)
+        n_rows = sum(1 if m == "none" else len(post.widths) for m in post.methods)
         print(f"would evaluate {len(tracks)} tracks over {n_rows} setups")
         return 0
 
     rows = []
-    for method in methods:
-        for w in [None] if method == "none" else widths:
+    for method in post.methods:
+        for w in [None] if method == "none" else post.widths:
             scores = []
             for track in tracks:
                 labels = postprocess_labels(

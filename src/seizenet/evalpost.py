@@ -26,6 +26,29 @@ def _check_window(w: int) -> None:
         raise ConfigError(f"smoothing window must be odd and >= 1, got {w}")
 
 
+@dataclass(frozen=True)
+class PostprocessSpec:
+    """The smoothing setups ``eval`` sweeps: each method at each width."""
+
+    methods: tuple[str, ...] = POSTPROCESS_METHODS
+    widths: tuple[int, ...] = (3, 5, 7)
+
+    def __post_init__(self):
+        for key in ("methods", "widths"):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"postprocess.{key} must be a list, got {value!r}")
+            object.__setattr__(self, key, tuple(value))
+        unknown = [m for m in self.methods if m not in POSTPROCESS_METHODS]
+        if unknown:
+            raise ConfigError(
+                f"unknown postprocess methods {unknown}; "
+                f"choose from {POSTPROCESS_METHODS}"
+            )
+        for w in self.widths:
+            _check_window(w)
+
+
 def _check_labels(labels: np.ndarray) -> np.ndarray:
     arr = np.asarray(labels)
     if arr.ndim != 1:

@@ -211,6 +211,26 @@ def _run_blocks(system: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
 NORMALIZATION_METHODS = ("minmax", "meanstd")
 
 
+@dataclass(frozen=True)
+class PreprocessSpec:
+    """The band-pass (``None`` for none) and the per-window normalization
+    (``None`` for none) applied to every record before training."""
+
+    filter: FilterSpec | None = FilterSpec()
+    normalization: str | None = "meanstd"
+
+    def __post_init__(self):
+        if self.filter == "default":
+            object.__setattr__(self, "filter", FilterSpec())
+        if not (self.filter is None or isinstance(self.filter, FilterSpec)):
+            raise ConfigError("preprocess.filter must be null, 'default', or an object")
+        if self.normalization not in (None, *NORMALIZATION_METHODS):
+            raise ConfigError(
+                f"preprocess.normalization must be null or one of "
+                f"{NORMALIZATION_METHODS}, got {self.normalization!r}"
+            )
+
+
 def normalize(x: np.ndarray, method: str = "minmax") -> np.ndarray:
     """Normalize per channel along the last axis.
 

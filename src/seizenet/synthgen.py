@@ -19,7 +19,7 @@ import numpy as np
 
 from .eegio import Recording, SeizureInterval, write_edf
 from .errors import SpecError
-from .nn.checkpoint import config_hash
+from .nn.checkpoint import config_hash, write_atomic
 from .rand import Rng
 
 MIN_SEIZURE_GAP_S = 16.0
@@ -50,11 +50,6 @@ class CorpusSpec:
             object.__setattr__(self, name, tuple(getattr(self, name)))
             if len(getattr(self, name)) != 2:
                 raise SpecError(f"{name} must be a [low, high] pair")
-        floats = (self.record_s, self.background_amplitude, self.seizure_gain,
-                  *self.seizure_len_s, *self.seizure_freq_range_hz)
-        if any(isinstance(v, bool) for v in floats):
-            raise SpecError("record_s, background_amplitude, seizure_gain and "
-                            "the two ranges take numbers, not booleans")
         if not 0 < self.background_amplitude < math.inf:  # NaN too
             raise SpecError(f"background_amplitude must be finite and > 0, "
                             f"got {self.background_amplitude}")
@@ -117,7 +112,13 @@ def subject_signature_hz(spec: CorpusSpec, subject_index: int) -> float:
     return float(rng.uniform(lo, hi))
 
 
-def _pack_intervals(spec: CorpusSpec, rng: Rng) -> list[SeizureInterval]:
+def _pack_intervals(
+    spec: CorpusSpec, subject_index: int, rec_index: int
+) -> list[SeizureInterval]:
+    """One record's seizure intervals, or SpecError if they do not fit."""
+    rng = Rng(spec.seed).child(
+        "corpus", record_id(subject_index, rec_index), "intervals"
+    )
     n = spec.seizures_per_record
     if n == 0:
         return []
@@ -157,7 +158,7 @@ def generate_recording(
             rng.child("bg", c), n
         )
 
-    intervals = _pack_intervals(spec, rng.child("intervals"))
+    intervals = _pack_intervals(spec, subject_index, rec_index)
     freq = subject_signature_hz(spec, subject_index)
     burst_amp = spec.seizure_gain * spec.background_amplitude
     t = np.arange(n) / fs
@@ -186,39 +187,38 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict:
     """Write `subject/record.edf` files, annotations.csv, and manifest.json.
 
     Returns the manifest as written.  Regenerating with an equal spec reproduces
-    every byte.
+    every byte.  Every record's seizures are packed before anything is
+    written, so a spec that cannot be packed leaves no directory behind, and
+    each file is written atomically.
     """
     root = Path(out_dir)
-    root.mkdir(parents=True, exist_ok=True)
+    indices = [(s, r) for s in range(spec.subjects)
+               for r in range(spec.records_per_subject)]
+    for s, r in indices:
+        _pack_intervals(spec, s, r)
     records = []
     annotation_lines = []
-    for s in range(spec.subjects):
-        subject_dir = root / subject_id(s)
-        subject_dir.mkdir(exist_ok=True)
-        for r in range(spec.records_per_subject):
-            rec = generate_recording(spec, s, r)
-            rel_path = f"{rec.subject_id}/{rec.record_id}.edf"
-            (root / rel_path).write_bytes(write_edf(rec))
-            for iv in rec.seizures:
-                annotation_lines.append(
-                    f"{rec.record_id},{iv.start_s},{iv.end_s}"
-                )
-            records.append(
-                {
-                    "subject_id": rec.subject_id,
-                    "record_id": rec.record_id,
-                    "path": rel_path,
-                    "seizures": [[iv.start_s, iv.end_s] for iv in rec.seizures],
-                }
-            )
-    (root / "annotations.csv").write_text(
-        "".join(line + "\n" for line in annotation_lines)
-    )
+    for s, r in indices:
+        rec = generate_recording(spec, s, r)
+        rel_path = f"{rec.subject_id}/{rec.record_id}.edf"
+        write_atomic(root / rel_path, write_edf(rec))
+        for iv in rec.seizures:
+            annotation_lines.append(f"{rec.record_id},{iv.start_s},{iv.end_s}")
+        records.append(
+            {
+                "subject_id": rec.subject_id,
+                "record_id": rec.record_id,
+                "path": rel_path,
+                "seizures": [[iv.start_s, iv.end_s] for iv in rec.seizures],
+            }
+        )
+    annotations = "".join(line + "\n" for line in annotation_lines)
+    write_atomic(root / "annotations.csv", annotations.encode("utf-8"))
     manifest = {
         "spec": asdict(spec),
         "spec_hash": spec_hash(spec),
         "records": records,
     }
     text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    (root / "manifest.json").write_text(text)
+    write_atomic(root / "manifest.json", text.encode("utf-8"))
     return json.loads(text)  # lists where the spec holds tuples, as on disk

@@ -145,6 +145,8 @@ class TestSynth:
             ({"background_amplitude": float("nan")}, "background_amplitude must be"),
             ({"background_amplitude": -1}, "background_amplitude must be finite"),
             ({"record_s": True}, "take numbers, not booleans"),
+            ({"subjects": "2"}, "corpus spec.subjects must be an integer"),
+            ({"seizure_len_s": [True, 10.0]}, "take numbers, not booleans"),
         ],
     )
     def test_bad_spec_is_config_error(self, tmp_path, capsys, overrides, message):
@@ -171,6 +173,14 @@ class TestSynth:
         out = tmp_path / "corpus"
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
         assert "for the EDF physical range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seizures_that_cannot_be_packed_write_nothing(self, tmp_path, capsys):
+        spec = {"subjects": 1, "records_per_subject": 1, "record_s": 64, "channels": 1}
+        cfg = write_json(tmp_path / "corpus.json", spec)
+        out = tmp_path / "corpus"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "cannot pack 3 seizures" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_override_changes_hash(self, workdir, tmp_path):
@@ -530,6 +540,20 @@ class TestConfigErrors:
             ({"postprocess": {"methods": "none"}}, "postprocess.methods must be a list"),
             ({"corpus_dir": 5}, "corpus_dir must be a path string"),
             ({"out_dir": None}, "out_dir must be a path string"),
+            ({"optim": {"lr": True}}, "optim.lr must be a number"),
+            ({"mask": {"mask_prob": True}}, "mask.mask_prob must be a number"),
+            ({"optim": {"eps": "1e-8"}}, "optim.eps must be a number"),
+            (
+                {"model": {**MODEL, "special_token_value": "-5"}},
+                "model.special_token_value must be a number",
+            ),
+            (
+                {"preprocess": {"filter": {"low_hz": True}}},
+                "preprocess.filter.low_hz must be a number",
+            ),
+            ({"preprocess": {"bogus": 1}}, "unknown preprocess keys: bogus"),
+            ({"postprocess": {"w": [3]}}, "unknown postprocess keys: w"),
+            ({"optim": {"lr": "0.1"}}, "optim.lr must be a number"),
         ],
     )
     def test_bad_value_is_config_error_at_load(
@@ -563,8 +587,8 @@ class TestConfigErrors:
                 ),
             )
             exp = load_experiment(cfg)
-            assert exp.postprocess_widths == [3, 5]
-            assert all(type(w) is int for w in exp.postprocess_widths)
+            assert exp.postprocess.widths == (3, 5)
+            assert all(type(w) is int for w in exp.postprocess.widths)
             hashes.append(exp.hash)
         assert hashes[0] == hashes[1]
 
@@ -574,7 +598,8 @@ class TestConfigErrors:
             exp = experiment_dict(workdir["corpus_dir"], tmp_path)
             exp["preprocess"]["filter"]["order"] = order
             exp = load_experiment(write_json(tmp_path / "exp.json", exp))
-            assert exp.filter_spec.order == 4 and type(exp.filter_spec.order) is int
+            loaded = exp.preprocess.filter.order
+            assert loaded == 4 and type(loaded) is int
             hashes.append(exp.hash)
         assert hashes[0] == hashes[1]
 
@@ -590,6 +615,8 @@ class TestConfigErrors:
             (("model", "heads"), 4.5, False),
             (("model", "conv_strides"), [3, 2.5, 2], False),
             (("model", "classifier_dims"), [[16, 8], [8, True]], False),
+            (("seed",), "1", False),
+            (("model", "heads"), "4", False),
         ],
     )
     def test_integer_fields_take_integral_floats_and_refuse_the_rest(

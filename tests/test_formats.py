@@ -27,6 +27,37 @@ _WIDTH64 = {
 }
 
 
+# The perfbench cli-smoke network: 2 channels at 64 Hz, width 16.
+_SMOKE_MODEL = {
+    "in_channels": 2,
+    "conv_blocks": 3,
+    "conv_channels": 16,
+    "conv_strides": [3, 2, 2],
+    "model_dim": 16,
+    "transformer_layers": 2,
+    "heads": 4,
+    "ffn_dim": 32,
+    "dropout_p": 0.0,
+    "classifier_dims": [[16, 8], [8, 2]],
+    "group_norm_groups": 4,
+    "pos_conv_kernel": 5,
+    "pos_conv_groups": 4,
+}
+
+_SMOKE_EXPERIMENT = {
+    "corpus_dir": "corpus",
+    "out_dir": "out",
+    "seed": 1,
+    "window_s": 2.0,
+    "model": _SMOKE_MODEL,
+    "optim": {"lr": 0.001},
+    "train": {"batch_size": 8, "max_epochs": 1},
+    "preprocess": {
+        "filter": {"order": 5, "low_hz": 0.5, "high_hz": 25.0, "sample_rate_hz": 64}
+    },
+}
+
+
 def _bench_experiment(conv_blocks: int, batch_size: int) -> dict:
     return {
         "corpus_dir": "corpus",
@@ -57,8 +88,56 @@ def test_default_corpus_spec_hash():
             _bench_experiment(3, 16),
             "f802fc2a94586e95087bc27de7a587ee8525699362ca616ab9414dd22c9d011c",
         ),
+        (
+            {
+                "preprocess": {
+                    "filter": {
+                        "order": 4.0,
+                        "low_hz": 0.5,
+                        "high_hz": 30.0,
+                        "sample_rate_hz": 64,
+                    }
+                }
+            },
+            "61a53a8bddb257f12746f8c0ad205d0bfc9c8519b98d07f3912849145e988322",
+        ),
+        (
+            {"preprocess": {"filter": None, "normalization": "minmax"}},
+            "132f6b88bad5213d11e95cf0934fd2b62af87d827b7ac1f6f881533644fa9840",
+        ),
+        (
+            {"preprocess": {"normalization": None}},
+            "64f2c28e53b05f29ea1f7e5382fae6ddcd2c376952db6d3976418ea2ee2e7d95",
+        ),
+        (
+            {"preprocess": {"filter": "default"}},
+            "3a6813416a06bb30d8857f20c11ade04d2a4b85d182f7ecfe0304d1c983f10ab",
+        ),
+        (
+            {"postprocess": {"methods": ["none", "minpool"], "widths": [5.0]}},
+            "31914e197b7d33a4c0a613e2cbe00f6d693a497992075d3a75c502c5f8690c0e",
+        ),
+        (
+            {"postprocess": {"widths": [3, 9]}},
+            "78520eada22c371957736e232d5aa8f299f3eb698e05256d5e44115a53100d7b",
+        ),
+        (
+            _SMOKE_EXPERIMENT,
+            "b7f675e90a3f18cd0fb840e4e5962e624c8d61f903be747d786b744a07baa59b",
+        ),
     ],
-    ids=["default", "cli-conv", "cli-attn"],
+    ids=[
+        "default",
+        "cli-conv",
+        "cli-attn",
+        "filter-order-4.0",
+        "no-filter-minmax",
+        "no-normalization",
+        "filter-default",
+        "postprocess-subset",
+        "postprocess-widths",
+        "cli-smoke",
+    ],
 )
 def test_experiment_hash(tmp_path, config, expected):
     path = tmp_path / "exp.json"
