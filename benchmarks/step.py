@@ -24,6 +24,11 @@ Cases, each run once untimed and then ``--repeats`` times in this process:
 - ``<shape>.train_step``: ``zero_grads``, ``forward_classifier`` with
   dropout, ``sswce_loss``, ``backward`` and ``adam_step``, the step that
   second pretraining and every LOOCV fold take;
+- ``<shape>.pretrain_step``: ``zero_grads``, ``forward_pretrain`` with
+  dropout and the default mask spec, ``contrastive_loss`` with the default
+  spec (K = 20), ``backward`` and ``adam_step``, the step of the first
+  pretraining stage; every repeat draws the same mask, so every repeat
+  scores the same number of masked positions;
 - ``<shape>.eval_forward``: ``forward_classifier`` under ``no_grad``;
 
 at the model, window and batch shapes of the ``cli-conv`` and ``cli-attn``
@@ -32,7 +37,8 @@ samples, width 64, 4 transformer layers, with 6 conv blocks at batch 32
 and 3 conv blocks at batch 16.  Inputs are seeded normal draws, so every
 run times the same arithmetic.  One more untimed train step per shape,
 under ``tracemalloc``, gives ``tape_peak_mb``: the largest traced heap in
-MiB over the step, which the tape of the forward sets.
+MiB over the step, which the tape of the forward sets.  One more untimed
+pretraining step gives ``pretrain_tape_peak_mb`` in the same way.
 
 - ``cli-conv.prepare``: ``load_corpus`` and ``prepare_recordings`` (band-pass,
   windowing, normalisation) on the ``cli-conv`` corpus at seed 1, which is
@@ -165,21 +171,43 @@ def _model_cases(sn, rng, name):
         sn.optim.adam_step(params, state, optim_spec)
         return {f"{name}.train_step": time.perf_counter() - t0}
 
+    mask_spec = sn.model.MaskSpec()
+    contrastive_spec = sn.objectives.ContrastiveSpec()
+
+    def pretrain(_):
+        srng = sn.rand.Rng(1).child("pretrain")
+        t0 = time.perf_counter()
+        sn.optim.zero_grads(params)
+        ctx, targets, masked = sn.model.forward_pretrain(
+            config, params, windows, mask_spec, srng, training=True
+        )
+        loss, _ = sn.objectives.contrastive_loss(
+            ctx, targets, masked, contrastive_spec, srng.child("distractors")
+        )
+        loss.backward()
+        sn.optim.adam_step(params, state, optim_spec)
+        return {f"{name}.pretrain_step": time.perf_counter() - t0}
+
     def evaluate(_):
         t0 = time.perf_counter()
         with sn.nn.no_grad():
             sn.model.forward_classifier(config, params, windows)
         return {f"{name}.eval_forward": time.perf_counter() - t0}
 
-    def tape_peak_mb():
-        tracemalloc.start()
-        try:
-            train(-2)
-            return tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
+    return [train, pretrain, evaluate], {
+        "tape_peak_mb": train,
+        "pretrain_tape_peak_mb": pretrain,
+    }
 
-    return [train, evaluate], tape_peak_mb
+
+def _traced_peak_mb(step) -> float:
+    """The largest traced heap in MiB over one untimed run of ``step``."""
+    tracemalloc.start()
+    try:
+        step(-2)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 # Times one command and reads its ru_maxrss from os.wait4.  Linux carries the
@@ -254,15 +282,7 @@ def _corpus_cases(sn, workdir: Path, src: Path):
         setup_rss_mb.append(int(maxrss_kib) / 1024)  # KiB on Linux
         return {"cli-conv.setup": float(seconds)}
 
-    def peak_mb():
-        tracemalloc.start()
-        try:
-            prepare()
-            return tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
-
-    return [run, bandpass, setup], peak_mb, setup_rss_mb
+    return [run, bandpass, setup], lambda _: prepare(), setup_rss_mb
 
 
 def _summary(samples_s: list[float]) -> dict:
@@ -314,9 +334,9 @@ def main(argv=None) -> int:
         _gelu_case(sn, rng),
         _conv_case(sn, rng, "conv", conv_x, (c_in, c_in, CONV_KERNEL), CONV_KERNEL),
     ]
-    tape_peaks = {}
+    tape_steps = {}
     for name in ("cli-conv", "cli-attn"):
-        model_runs, tape_peaks[name] = _model_cases(sn, rng, name)
+        model_runs, tape_steps[name] = _model_cases(sn, rng, name)
         runs.extend(model_runs)
     # the model feeds the positional conv a transposed view, not a copy
     pos_x = rng.normal(size=POS_SHAPE).astype(np.float32).transpose(0, 2, 1)
@@ -329,7 +349,7 @@ def main(argv=None) -> int:
     samples: dict[str, list[float]] = {}
     with tempfile.TemporaryDirectory(prefix="seizenet-step-") as workdir:
         src = args.src.resolve()
-        corpus_runs, prepare_peak, setup_rss_mb = _corpus_cases(
+        corpus_runs, prepare, setup_rss_mb = _corpus_cases(
             sn, Path(workdir), src
         )
         for run in [*runs, *corpus_runs]:
@@ -338,8 +358,14 @@ def main(argv=None) -> int:
                 for key, seconds in run(i).items():
                     samples.setdefault(key, []).append(seconds)
                 print(".", end="", file=sys.stderr, flush=True)
-        prepare_peak_mb = round(prepare_peak(), 1)
-        tape_peak_mb = {name: round(peak(), 1) for name, peak in tape_peaks.items()}
+        prepare_peak_mb = round(_traced_peak_mb(prepare), 1)
+        tape_peak_mb = {
+            key: {
+                name: round(_traced_peak_mb(steps[key]), 1)
+                for name, steps in tape_steps.items()
+            }
+            for key in ("tape_peak_mb", "pretrain_tape_peak_mb")
+        }
     print(file=sys.stderr)
 
     result = {
@@ -353,7 +379,7 @@ def main(argv=None) -> int:
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
         "cases": {key: _summary(vals) for key, vals in samples.items()},
-        "tape_peak_mb": tape_peak_mb,
+        **tape_peak_mb,
         "prepare_peak_mb": prepare_peak_mb,
         "setup_peak_rss_mb": round(max(setup_rss_mb), 1),
         # ru_maxrss is in KiB on Linux
@@ -363,8 +389,9 @@ def main(argv=None) -> int:
     }
     for key, case in result["cases"].items():
         print(f"{key:24s} median {case['median']:9.2f} ms  IQR {case['iqr']:7.2f}")
-    for name, peak_mb in tape_peak_mb.items():
-        print(f"{name} train step tracemalloc peak {peak_mb} MiB")
+    for key, step in (("tape_peak_mb", "train"), ("pretrain_tape_peak_mb", "pretrain")):
+        for name, peak_mb in tape_peak_mb[key].items():
+            print(f"{name} {step} step tracemalloc peak {peak_mb} MiB")
     print(f"prepare tracemalloc peak {prepare_peak_mb} MiB")
     print(f"setup child peak RSS {result['setup_peak_rss_mb']} MiB")
     print(f"peak RSS {result['peak_rss_mb']} MiB")

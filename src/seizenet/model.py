@@ -78,6 +78,11 @@ class ModelConfig:
     pos_conv_groups: int = 16
 
     def __post_init__(self):
+        for name in ("heads", "group_norm_groups", "pos_conv_groups"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.classifier_dims:
+            raise ConfigError("classifier_dims must name at least one layer")
         if self.conv_blocks not in CONV_BLOCK_CHOICES:
             raise ConfigError(
                 f"conv_blocks must be one of {CONV_BLOCK_CHOICES}, "

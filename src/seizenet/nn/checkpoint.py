@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -85,8 +86,14 @@ def parse_checkpoint(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointError("manifest extends past end of file")
     try:
         manifest = json.loads(data[manifest_start:payload_start])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
         raise CheckpointError(f"manifest is not valid JSON: {exc}") from None
+    if not (
+        isinstance(manifest, dict)
+        and isinstance(manifest.get("config"), dict)
+        and isinstance(manifest.get("tensors"), list)
+    ):
+        raise CheckpointError("manifest needs a 'config' object and a 'tensors' list")
 
     config = manifest["config"]
     if manifest.get("config_hash") != config_hash(config):
@@ -97,17 +104,31 @@ def parse_checkpoint(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointError("payload sha256 does not match the manifest")
     params: dict[str, np.ndarray] = {}
     for entry in manifest["tensors"]:
-        count = int(np.prod(entry["shape"], dtype=np.int64))
-        if entry["offset"] + 4 * count > len(payload):
-            raise CheckpointError(
-                f"tensor {entry['name']!r} extends past end of payload"
-            )
-        arr = np.frombuffer(
-            payload, dtype="<f4", count=count, offset=entry["offset"]
-        )
+        name, shape, offset = _tensor_entry(entry)
+        count = math.prod(shape)  # a Python int: no overflow
+        if offset + 4 * count > len(payload):
+            raise CheckpointError(f"tensor {name!r} extends past end of payload")
+        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
         # astype copies: the arrays are writable and do not pin ``data``
-        params[entry["name"]] = arr.reshape(entry["shape"]).astype(np.float32)
+        params[name] = arr.reshape(shape).astype(np.float32)
     return params, config
+
+
+def _tensor_entry(entry) -> tuple[str, list[int], int]:
+    """(name, shape, offset) of one manifest tensor entry, else CheckpointError."""
+
+    def size(v):
+        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+    if not (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("shape"), list)
+        and all(size(v) for v in entry["shape"])
+        and size(entry.get("offset"))
+    ):
+        raise CheckpointError(f"bad tensor entry in manifest: {entry!r}")
+    return entry["name"], entry["shape"], entry["offset"]
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .nn.tensor import Tensor, concat
-from .nn.ops import softmax
+from .nn.ops import _softmax, _softmax_backward
+from .nn.tensor import Tensor
 from .rand import Rng
 
 COSINE_EPS = 1e-8
@@ -53,14 +53,6 @@ class SswceSpec:
             )
 
 
-def _cosine(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity along the last axis, guarded against zero norms."""
-    dot = (a * b).sum(axis=-1)
-    norm_a = (a * a).sum(axis=-1).sqrt()
-    norm_b = (b * b).sum(axis=-1).sqrt()
-    return dot / (norm_a * norm_b).clip_min(COSINE_EPS)
-
-
 def sample_distractor_indices(
     n_positions: int,
     masked: np.ndarray,
@@ -91,6 +83,13 @@ def sample_distractor_indices(
     return out
 
 
+def _norm_grad(gnorm: np.ndarray, norm: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The gradient at ``rows`` of their norms, ``gnorm / norm * rows``;
+    a zero row gets none."""
+    scale = np.divide(gnorm, norm, out=np.zeros_like(gnorm), where=norm > 0)
+    return scale[..., None] * rows
+
+
 def contrastive_loss(
     ctx: Tensor,
     targets: Tensor,
@@ -101,8 +100,15 @@ def contrastive_loss(
     """Mean over masked positions of -log softmax(cos/temperature).
 
     ``ctx`` and ``targets`` are (batch, S+1, D) with the special token at
-    position 0 (never scored).  Returns the scalar loss and a diagnostics
-    dict with mean target/distractor similarities.
+    position 0 (never scored); ``masked`` holds distinct positions.  Each
+    masked row of ``ctx`` is scored against its own target row and K
+    distractor rows.  Returns the scalar loss and a diagnostics dict with
+    mean target/distractor similarities.
+
+    One tape node: the cosines come from one (batch, M, S+1) product of all
+    masked rows with all target rows, so no (batch, M, K, D) distractor
+    tensor is built.  Norms are clipped below at COSINE_EPS as a product,
+    and a row whose norm product is clipped gets no norm gradient.
     """
     if ctx.ndim != 3:
         raise ShapeError(f"expected (batch, S+1, D) sequences, got {ctx.shape}")
@@ -111,33 +117,67 @@ def contrastive_loss(
     masked = np.asarray(masked, dtype=np.int64)
     if masked.size == 0:
         raise ValueError("contrastive loss needs a non-empty masked set")
+    if np.unique(masked).size != masked.size:
+        raise ValueError("masked positions must be distinct")
     n, s_plus_1, _ = ctx.shape
+    m = masked.size
 
-    dist_idx = sample_distractor_indices(
-        s_plus_1 - 1, masked, spec, rng, batch=n
+    dist_idx = sample_distractor_indices(s_plus_1 - 1, masked, spec, rng, batch=n)
+    # column 0 holds each masked row's own target, columns 1..K its distractors
+    idx = np.concatenate(
+        [np.broadcast_to(masked[:, None], (n, m, 1)), dist_idx], axis=2
     )
-    batch_idx = np.arange(n)[:, None, None]
+    c = ctx.data[:, masked]  # (N, M, D)
+    t = targets.data  # (N, S+1, D)
+    cn = np.sqrt((c * c).sum(axis=-1))  # (N, M)
+    tn = np.sqrt((t * t).sum(axis=-1))  # (N, S+1)
+    dot = np.take_along_axis(c @ t.mT, idx, axis=2)  # (N, M, K+1)
+    tn_idx = np.take_along_axis(tn[:, None], idx, axis=2)
+    den = cn[..., None] * tn_idx
+    unclipped = den > COSINE_EPS
+    np.maximum(den, COSINE_EPS, out=den)
+    sim = dot / den
+    p = _softmax(sim * np.asarray(1.0 / spec.temperature, sim.dtype), axis=-1)
+    p0 = np.maximum(p[..., 0], PROB_FLOOR)
+    inv_count = np.asarray(1.0 / p0.size, p.dtype)
+    loss = -(np.log(p0).sum() * inv_count)
 
-    c = ctx[:, masked]  # (N, M, D)
-    true_b = targets[:, masked]  # (N, M, D)
-    distractors = targets[batch_idx, dist_idx]  # (N, M, K, D)
+    def backward(g):
+        gz = np.zeros_like(p)  # at the logits sim / temperature
+        gz[..., 0] = (-g * inv_count) / p0 * (p[..., 0] > PROB_FLOOR)
+        gs = _softmax_backward(gz, p, axis=-1)
+        gs *= np.asarray(1.0 / spec.temperature, gs.dtype)  # at sim
+        gden = -gs * sim / den * unclipped  # at the clipped norm products
+        gs /= den  # at the dot products
+        # scatter into every (row, target) pair; repeated draws add up
+        gdot = np.zeros(n * m * s_plus_1, gs.dtype)
+        pairs = (np.arange(n * m).reshape(n, m, 1) * s_plus_1 + idx).ravel()
+        np.add.at(gdot, pairs, gs.ravel())
+        gdot = gdot.reshape(n, m, s_plus_1)
+        if ctx.requires_grad:
+            gcn = (gden * tn_idx).sum(axis=-1)
+            gc = gdot @ t
+            gc += _norm_grad(gcn, cn, c)
+            gctx = np.zeros_like(ctx.data)
+            gctx[:, masked] = gc
+            ctx.accumulate_grad(gctx)
+        if targets.requires_grad:
+            gtn = np.zeros(n * s_plus_1, gs.dtype)
+            rows = np.arange(n)[:, None, None] * s_plus_1 + idx
+            np.add.at(gtn, rows.ravel(), (gden * cn[..., None]).ravel())
+            gt = gdot.mT @ c
+            gt += _norm_grad(gtn.reshape(n, s_plus_1), tn, t)
+            targets.accumulate_grad(gt)
 
-    sim_true = _cosine(c, true_b)  # (N, M)
-    sim_dist = _cosine(c.reshape(n, masked.size, 1, -1), distractors)  # (N,M,K)
-
-    logits = concat(
-        [sim_true.reshape(n, masked.size, 1), sim_dist], axis=2
-    ) * (1.0 / spec.temperature)
-    probs = softmax(logits, axis=-1)
-    target_prob = probs[:, :, 0].clip_min(PROB_FLOOR)
-    loss = -(target_prob.log().mean())
-
+    # contiguous copies: a float32 mean over a strided view sums in another order
+    sim_true = np.ascontiguousarray(sim[..., 0])
+    sim_dist = np.ascontiguousarray(sim[..., 1:])
     info = {
-        "target_sim": float(sim_true.data.mean()),
-        "distractor_sim": float(sim_dist.data.mean()),
-        "alignment_gap": float(sim_true.data.mean() - sim_dist.data.mean()),
+        "target_sim": float(sim_true.mean()),
+        "distractor_sim": float(sim_dist.mean()),
+        "alignment_gap": float(sim_true.mean() - sim_dist.mean()),
     }
-    return loss, info
+    return Tensor.from_op(loss, (ctx, targets), backward), info
 
 
 def sswce_loss(probs: Tensor, labels: np.ndarray, spec: SswceSpec) -> Tensor:

@@ -257,6 +257,29 @@ class TestSecondPretrain:
         assert main(["second-pretrain", "--config", str(cfg)]) == 2
         assert "sha256" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (b'"tensors"', b'"tensorz"', "'tensors' list"),
+            (b'"shape"', b'"shapd"', "bad tensor entry"),
+            (b'"config"', b'"\xffonfig"', "not valid JSON"),
+        ],
+        ids=["renamed-tensors", "renamed-shape", "non-utf8"],
+    )
+    def test_malformed_checkpoint_manifest_is_config_error(
+        self, workdir, tmp_path, capsys, old, new, message
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        blob = (workdir["out_dir"] / "pretrain.ckpt").read_bytes()
+        assert blob.count(old) >= 1
+        (out / "pretrain.ckpt").write_bytes(blob.replace(old, new, 1))
+        cfg = write_json(
+            tmp_path / "exp.json", experiment_dict(workdir["corpus_dir"], out)
+        )
+        assert main(["second-pretrain", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_random_init_skips_checkpoint(self, workdir, tmp_path):
         cfg = write_json(
             tmp_path / "exp.json",
@@ -554,6 +577,16 @@ class TestConfigErrors:
             ({"preprocess": {"bogus": 1}}, "unknown preprocess keys: bogus"),
             ({"postprocess": {"w": [3]}}, "unknown postprocess keys: w"),
             ({"optim": {"lr": "0.1"}}, "optim.lr must be a number"),
+            ({"model": {**MODEL, "heads": 0}}, "heads must be >= 1"),
+            (
+                {"model": {**MODEL, "group_norm_groups": 0}},
+                "group_norm_groups must be >= 1",
+            ),
+            ({"model": {**MODEL, "pos_conv_groups": 0}}, "pos_conv_groups must be >= 1"),
+            (
+                {"model": {**MODEL, "classifier_dims": []}},
+                "classifier_dims must name at least one layer",
+            ),
         ],
     )
     def test_bad_value_is_config_error_at_load(

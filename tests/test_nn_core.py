@@ -2,7 +2,9 @@
 central finite differences, graph release and ``no_grad``, and the
 checkpoint container format."""
 
+import json
 import math
+import struct
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -989,6 +991,55 @@ class TestInitAndCheckpoint:
         blob[-3] ^= 0x01  # inside the last float32, not the manifest
         with pytest.raises(CheckpointError, match="sha256"):
             parse_checkpoint(bytes(blob))
+
+    @pytest.mark.parametrize(
+        "flip, outcomes",
+        [
+            # 0xff is never UTF-8
+            (lambda b: 0xFF, {"error"}),
+            # xor 1 renames a key ("shape" -> "shapd"), breaks the JSON, or
+            # changes a digit, a hash or a name (which still loads)
+            (lambda b: b ^ 0x01, {"error", "loads"}),
+        ],
+        ids=["0xff", "xor1"],
+    )
+    def test_every_manifest_byte_flip_is_a_checkpoint_error_or_loads(
+        self, flip, outcomes
+    ):
+        good = checkpoint_bytes({"a.w": np.ones((2, 3)), "b": np.zeros(4)}, {"d": 1})
+        (length,) = struct.unpack_from("<Q", good, 8)
+        seen = set()
+        for pos in range(16, 16 + length):
+            blob = bytearray(good)
+            blob[pos] = flip(blob[pos])
+            try:
+                parse_checkpoint(bytes(blob))
+                seen.add("loads")
+            except CheckpointError:
+                seen.add("error")
+        assert seen == outcomes
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m.pop("tensors"), "'tensors' list"),
+            (lambda m: m.update(tensors={"w": 0}), "'tensors' list"),
+            (lambda m: m.update(config=[1]), "'config' object"),
+            (lambda m: m["tensors"][0].pop("shape"), "bad tensor entry"),
+            (lambda m: m["tensors"][0].update(offset=-4), "bad tensor entry"),
+            (lambda m: m["tensors"][0].update(shape=[True]), "bad tensor entry"),
+            (lambda m: m["tensors"].append(7), "bad tensor entry"),
+        ],
+    )
+    def test_malformed_manifest_is_checkpoint_error(self, edit, message):
+        good = checkpoint_bytes({"w": np.ones(4)}, {"d": 1})
+        (length,) = struct.unpack_from("<Q", good, 8)
+        manifest = json.loads(good[16 : 16 + length])
+        edit(manifest)
+        raw = json.dumps(manifest).encode()
+        blob = good[:8] + struct.pack("<Q", len(raw)) + raw + good[16 + length :]
+        with pytest.raises(CheckpointError, match=message):
+            parse_checkpoint(blob)
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"
