@@ -553,6 +553,44 @@ def cmd_loocv(args) -> int:
     return 0
 
 
+def _read_track(path: Path, exp: Experiment) -> PredictionTrack:
+    """One ``fold_*.json`` as a track, else ConfigError naming the file."""
+    try:
+        data = json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
+        raise ConfigError(f"{path.name} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path.name} is not a JSON object")
+    if data.get("config_hash") != exp.hash:
+        raise ConfigError(
+            f"{path.name} was produced under a different configuration; "
+            f"refusing to evaluate"
+        )
+    keys = ("record", "probs", "truth_events", "window_s")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ConfigError(f"{path.name} lacks {', '.join(missing)}")
+    probs, events, window_s = data["probs"], data["truth_events"], data["window_s"]
+    if not isinstance(probs, list) or any(type(p) not in (int, float) for p in probs):
+        raise ConfigError(f"{path.name}: probs must be a list of numbers")
+    if not isinstance(events, list) or any(
+        not isinstance(e, list) or len(e) != 2 or any(type(v) is not int for v in e)
+        for e in events
+    ):
+        raise ConfigError(f"{path.name}: truth events must be [a, b] integer pairs")
+    if type(window_s) not in (int, float) or not 0 < window_s <= sys.float_info.max:
+        raise ConfigError(f"{path.name}: window_s must be a positive number")
+    try:
+        return PredictionTrack(
+            record_id=data["record"],
+            probs=np.array(probs, dtype=np.float64),
+            truth_events=[tuple(e) for e in events],
+            window_s=float(window_s),
+        )
+    except ConfigError as err:
+        raise ConfigError(f"{path.name}: {err}") from None
+
+
 def cmd_eval(args) -> int:
     exp = load_experiment(args.config, args.seed, args.out)
     post = exp.postprocess  # --method and --w pass the same checks
@@ -565,22 +603,7 @@ def cmd_eval(args) -> int:
     if not files:
         raise ConfigError(f"no fold prediction files in {pred_dir}")
 
-    tracks = []
-    for path in files:
-        data = json.loads(path.read_text())
-        if data.get("config_hash") != exp.hash:
-            raise ConfigError(
-                f"{path.name} was produced under a different configuration; "
-                f"refusing to evaluate"
-            )
-        tracks.append(
-            PredictionTrack(
-                record_id=data["record"],
-                probs=np.array(data["probs"], dtype=np.float64),
-                truth_events=[tuple(e) for e in data["truth_events"]],
-                window_s=float(data["window_s"]),
-            )
-        )
+    tracks = [_read_track(path, exp) for path in files]
 
     if args.dry_run:
         n_rows = sum(1 if m == "none" else len(post.widths) for m in post.methods)

@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     UnsupportedError,
 )
+from .nn.checkpoint import write_atomic
 
 EDF_HEADER_BYTES = 256
 EDF_SIGNAL_HEADER_BYTES = 256
@@ -40,9 +41,6 @@ class SeizureInterval:
             raise ValueError(
                 f"invalid seizure interval [{self.start_s}, {self.end_s})"
             )
-
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
 
 
 @dataclass
@@ -425,7 +423,7 @@ def read_edf_file(path: str | Path) -> Recording:
 
 
 def write_edf_file(path: str | Path, rec: Recording) -> None:
-    Path(path).write_bytes(write_edf(rec))
+    write_atomic(path, write_edf(rec))
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +489,8 @@ def load_corpus(corpus_dir: str | Path) -> list[Recording]:
     Expects ``<subject>/<record>.edf`` files, an ``annotations.csv`` keyed by
     record id, and optionally a ``manifest.json`` (used for the file list
     when present so ordering matches generation order).  Raises
-    ConfigError when the directory holds no record, and AnnotationError for
-    an interval that ends past its record.
+    ConfigError when the directory holds no record or the manifest is
+    malformed, and AnnotationError for an interval that ends past its record.
     """
     root = Path(corpus_dir)
     ann_path = root / "annotations.csv"
@@ -500,17 +498,25 @@ def load_corpus(corpus_dir: str | Path) -> list[Recording]:
         load_annotations(ann_path.read_text()) if ann_path.exists() else {}
     )
 
-    entries: list[tuple[str, str, Path]] = []
     manifest_path = root / "manifest.json"
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-        for item in manifest["records"]:
-            entries.append(
-                (item["subject_id"], item["record_id"], root / item["path"])
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
+            raise ConfigError(f"{manifest_path} is not valid JSON: {exc}") from None
+        records = manifest.get("records") if isinstance(manifest, dict) else None
+        keys = ("subject_id", "record_id", "path")
+        if not isinstance(records, list) or not all(
+            isinstance(item, dict) and all(isinstance(item.get(k), str) for k in keys)
+            for item in records
+        ):
+            raise ConfigError(
+                f"{manifest_path} needs a 'records' list of objects with string "
+                f"subject_id, record_id and path"
             )
+        entries = [(r["subject_id"], r["record_id"], root / r["path"]) for r in records]
     else:
-        for edf_path in sorted(root.glob("*/*.edf")):
-            entries.append((edf_path.parent.name, edf_path.stem, edf_path))
+        entries = [(p.parent.name, p.stem, p) for p in sorted(root.glob("*/*.edf"))]
     if not entries:
         raise ConfigError(f"corpus directory {root} holds no records")
 

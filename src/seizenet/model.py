@@ -11,12 +11,13 @@ checkpointing, and cross-config weight transfer stay trivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Literal
 
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, ShapeError
+from .nn.checkpoint import config_hash
 from .nn.ops import (
     conv1d,
     dropout,
@@ -252,7 +253,9 @@ def init_weights(
     """Build the parameter dict under an initialization policy.
 
     ``source`` is (params, config-dict) as returned by checkpoint loading;
-    required for load_shared / load_duplicate.
+    required for load_shared / load_duplicate.  A source of this same
+    config must hold every tensor in its shape; across configs, tensors
+    missing from the source or shaped differently keep their random init.
     """
     if policy not in INIT_POLICIES:
         raise ConfigError(f"unknown init policy {policy!r}")
@@ -269,9 +272,12 @@ def init_weights(
             f"target width {config.model_dim}"
         )
 
+    same_config = config_hash(src_config) == config_hash(asdict(config))
     for name, tensor in params.items():
         if name in src_params and src_params[name].shape == tensor.shape:
             tensor.data = src_params[name].astype(COMPUTE_DTYPE)
+        elif same_config:
+            raise CheckpointError(f"same-config source lacks {name} {tensor.shape}")
 
     if policy == "load_duplicate":
         src_layers = src_config.get("transformer_layers", 0)

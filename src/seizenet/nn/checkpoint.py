@@ -4,8 +4,9 @@ Layout: 8-byte magic, little-endian uint64 manifest length, UTF-8 JSON
 manifest (tensor names, shapes, byte offsets, config, config hash, and
 the sha256 of the payload), then the arrays concatenated as little-endian
 float32.  Arrays are stored in sorted name order so identical parameter
-sets serialize byte-identically.  Loading checks both hashes and returns
-float32 arrays, so a float32 model round-trips exactly.
+sets serialize byte-identically.  Loading checks both hashes and that the
+tensors tile the payload, and returns float32 arrays, so a float32 model
+round-trips exactly.
 """
 
 from __future__ import annotations
@@ -103,14 +104,20 @@ def parse_checkpoint(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
     if manifest.get("payload_sha256") != hashlib.sha256(payload).hexdigest():
         raise CheckpointError("payload sha256 does not match the manifest")
     params: dict[str, np.ndarray] = {}
+    end = 0  # the tensors tile the payload in manifest order, as written
     for entry in manifest["tensors"]:
         name, shape, offset = _tensor_entry(entry)
+        if offset != end:
+            raise CheckpointError(f"tensor {name!r} starts at byte {offset}, not {end}")
         count = math.prod(shape)  # a Python int: no overflow
-        if offset + 4 * count > len(payload):
+        end = offset + 4 * count
+        if end > len(payload):
             raise CheckpointError(f"tensor {name!r} extends past end of payload")
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
         # astype copies: the arrays are writable and do not pin ``data``
         params[name] = arr.reshape(shape).astype(np.float32)
+    if end != len(payload):
+        raise CheckpointError(f"tensors end at byte {end}, payload at {len(payload)}")
     return params, config
 
 

@@ -219,39 +219,56 @@ def conv1d(
     return out.reshape(c_out, l_out) if squeeze else out
 
 
+def _standardize(x: np.ndarray, axes, eps: float):
+    """(z, mu, inv_std) of ``x`` standardised over ``axes``, keepdims shapes."""
+    mu = x.mean(axis=axes, keepdims=True)
+    var = x.var(axis=axes, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    return (x - mu) * inv_std, mu, inv_std
+
+
+def _standardize_backward(ghat, z, inv_std, axes) -> np.ndarray:
+    """The input gradient of ``_standardize``, from ``ghat`` at its output z."""
+    ghat_mean = ghat.mean(axis=axes, keepdims=True)
+    ghat_z_mean = (ghat * z).mean(axis=axes, keepdims=True)
+    return (ghat - ghat_mean - z * ghat_z_mean) * inv_std
+
+
+def _affine_norm(x: Tensor, view, axes, gamma: Tensor, beta: Tensor, reduce_axes, eps):
+    """``_standardize`` over ``axes`` of ``x`` viewed as ``view``, then scaled
+    by gamma and shifted by beta, which broadcast over ``reduce_axes`` of x.
+    The tape keeps mu and inv_std; backward rebuilds z from the input."""
+    affine = tuple(1 if i in reduce_axes else s for i, s in enumerate(x.shape))
+    z, mu, inv_std = _standardize(x.data.reshape(view), axes, eps)
+    y = z.reshape(x.shape) * gamma.data.reshape(affine) + beta.data.reshape(affine)
+
+    def backward(gy):
+        if gamma.requires_grad or x.requires_grad:
+            z = (x.data.reshape(view) - mu) * inv_std
+        if gamma.requires_grad:
+            gamma.accumulate_grad((gy * z.reshape(x.shape)).sum(axis=reduce_axes))
+        if beta.requires_grad:
+            beta.accumulate_grad(gy.sum(axis=reduce_axes))
+        if x.requires_grad:
+            ghat = (gy * gamma.data.reshape(affine)).reshape(view)
+            gx = _standardize_backward(ghat, z, inv_std, axes)
+            x.accumulate_grad(gx.reshape(x.shape))
+
+    return Tensor.from_op(y, (x, gamma, beta), backward)
+
+
 def group_norm(
     x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5
 ) -> Tensor:
-    """Per-group normalization over (channels/groups, length) with affine."""
+    """Per-group normalization over (channels/groups, length) with affine:
+    layer norm over each group's channels and length."""
     squeeze = x.ndim == 2
     xb = x.reshape(1, *x.shape) if squeeze else x
     n, c, length = xb.shape
     if c % groups:
         raise ShapeError(f"{c} channels not divisible by {groups} groups")
-    xg = xb.data.reshape(n, groups, c // groups, length)
-    mu = xg.mean(axis=(2, 3), keepdims=True)
-    var = xg.var(axis=(2, 3), keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    # z is rebuilt in backward from the input the tape holds, with the same ops
-    z = (xg - mu) * inv_std
-    y = z.reshape(n, c, length) * gamma.data[:, None] + beta.data[:, None]
-
-    def backward(gy):
-        gy = gy.reshape(n, c, length)
-        if gamma.requires_grad or xb.requires_grad:
-            z = (xb.data.reshape(n, groups, c // groups, length) - mu) * inv_std
-        if gamma.requires_grad:
-            gamma.accumulate_grad((gy * z.reshape(n, c, length)).sum(axis=(0, 2)))
-        if beta.requires_grad:
-            beta.accumulate_grad(gy.sum(axis=(0, 2)))
-        if xb.requires_grad:
-            ghat = (gy * gamma.data[:, None]).reshape(n, groups, c // groups, length)
-            ghat_mean = ghat.mean(axis=(2, 3), keepdims=True)
-            ghat_z_mean = (ghat * z).mean(axis=(2, 3), keepdims=True)
-            gx = (ghat - ghat_mean - z * ghat_z_mean) * inv_std
-            xb.accumulate_grad(gx.reshape(n, c, length))
-
-    out = Tensor.from_op(y, (xb, gamma, beta), backward)
+    view = (n, groups, c // groups, length)
+    out = _affine_norm(xb, view, (2, 3), gamma, beta, (0, 2), eps)
     return out.reshape(c, length) if squeeze else out
 
 
@@ -260,26 +277,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"affine shapes {gamma.shape}/{beta.shape} != ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    z = (x.data - mu) * inv_std
-    y = z * gamma.data + beta.data
-
-    def backward(gy):
-        if gamma.requires_grad:
-            reduce_axes = tuple(range(gy.ndim - 1))
-            gamma.accumulate_grad((gy * z).sum(axis=reduce_axes))
-        if beta.requires_grad:
-            reduce_axes = tuple(range(gy.ndim - 1))
-            beta.accumulate_grad(gy.sum(axis=reduce_axes))
-        if x.requires_grad:
-            ghat = gy * gamma.data
-            ghat_mean = ghat.mean(axis=-1, keepdims=True)
-            ghat_z_mean = (ghat * z).mean(axis=-1, keepdims=True)
-            x.accumulate_grad((ghat - ghat_mean - z * ghat_z_mean) * inv_std)
-
-    return Tensor.from_op(y, (x, gamma, beta), backward)
+    return _affine_norm(x, x.shape, -1, gamma, beta, tuple(range(x.ndim - 1)), eps)
 
 
 def multi_head_attention(

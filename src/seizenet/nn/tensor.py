@@ -91,10 +91,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -184,12 +180,6 @@ class Tensor:
 
         return Tensor.from_op(-self.data, (self,), backward)
 
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
 
@@ -216,9 +206,6 @@ class Tensor:
 
         return Tensor.from_op(self.data / other.data, (self, other), backward)
 
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
     def __pow__(self, exponent: float):
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
@@ -230,31 +217,20 @@ class Tensor:
 
     def __matmul__(self, other):
         other = self._coerce(other)
-        if self.ndim < 1 or other.ndim < 1:
+        if self.ndim < 2 or other.ndim < 2:
             raise ShapeError(
-                f"matmul needs >=1 dims, got {self.shape} @ {other.shape}"
+                f"matmul needs >=2 dims, got {self.shape} @ {other.shape}"
             )
-        # promote vector operands so the backward rule only sees matrices
-        a_vec, b_vec = self.ndim == 1, other.ndim == 1
-        a = self.reshape(1, -1) if a_vec else self
-        b = other.reshape(-1, 1) if b_vec else other
 
         def backward(g):
-            if a.requires_grad:
-                ga = g @ np.swapaxes(b.data, -1, -2)
-                a.accumulate_grad(_unbroadcast(ga, a.shape))
-            if b.requires_grad:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-                b.accumulate_grad(_unbroadcast(gb, b.shape))
+            if self.requires_grad:
+                ga = g @ np.swapaxes(other.data, -1, -2)
+                self.accumulate_grad(_unbroadcast(ga, self.shape))
+            if other.requires_grad:
+                gb = np.swapaxes(self.data, -1, -2) @ g
+                other.accumulate_grad(_unbroadcast(gb, other.shape))
 
-        out = Tensor.from_op(a.data @ b.data, (a, b), backward)
-        if a_vec and b_vec:
-            return out.reshape(())
-        if a_vec:
-            return out.reshape(out.shape[:-2] + (out.shape[-1],))
-        if b_vec:
-            return out.reshape(out.shape[:-1])
-        return out
+        return Tensor.from_op(self.data @ other.data, (self, other), backward)
 
     # -- elementwise --------------------------------------------------------
 
@@ -291,33 +267,20 @@ class Tensor:
 
     # -- reductions -----------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False):
+    def sum(self, axis=None):
         def backward(g):
-            if axis is None:
-                self.accumulate_grad(np.broadcast_to(g, self.shape).copy())
-                return
-            gg = g
-            if not keepdims:
-                gg = np.expand_dims(gg, axis)
-            self.accumulate_grad(np.broadcast_to(gg, self.shape).copy())
+            if axis is not None:
+                g = np.expand_dims(g, axis)
+            self.accumulate_grad(np.broadcast_to(g, self.shape).copy())
 
-        return Tensor.from_op(
-            self.data.sum(axis=axis, keepdims=keepdims), (self,), backward
-        )
+        return Tensor.from_op(self.data.sum(axis=axis), (self,), backward)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            count = int(np.prod([self.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+    def mean(self):
+        return self.sum() * (1.0 / self.data.size)
 
     # -- shape manipulation ----------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old_shape = self.shape
 
         def backward(g):
@@ -326,10 +289,6 @@ class Tensor:
         return Tensor.from_op(self.data.reshape(shape), (self,), backward)
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.ndim)))
         inverse = np.argsort(axes)
 
         def backward(g):

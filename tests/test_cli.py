@@ -280,6 +280,22 @@ class TestSecondPretrain:
         assert main(["second-pretrain", "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_misshapen_tensor_table_is_config_error(self, workdir, tmp_path, capsys):
+        # conv.0.weight keeps its 96 payload bytes, so the next tensor no
+        # longer starts where the table says
+        out = tmp_path / "out"
+        out.mkdir()
+        blob = (workdir["out_dir"] / "pretrain.ckpt").read_bytes()
+        old, new = b'"shape":[16,2,3]', b'"shape":[16,2,1]'
+        assert blob.count(old) == 1
+        (out / "pretrain.ckpt").write_bytes(blob.replace(old, new))
+        cfg = write_json(
+            tmp_path / "exp.json", experiment_dict(workdir["corpus_dir"], out)
+        )
+        assert main(["second-pretrain", "--config", str(cfg)]) == 2
+        assert "starts at byte" in capsys.readouterr().err
+        assert not (out / "second_s00.ckpt").exists()
+
     def test_random_init_skips_checkpoint(self, workdir, tmp_path):
         cfg = write_json(
             tmp_path / "exp.json",
@@ -449,6 +465,47 @@ class TestEval:
         cfg = str(workdir["exp_cfg"])
         assert main(["eval", "--config", cfg, "--w", w, *dry_run]) == 2
         assert "smoothing window must be odd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: b'{"record": "\xff"}', "is not valid JSON"),
+            (lambda d: [d], "is not a JSON object"),
+            (lambda d: {k: v for k, v in d.items() if k != "record"}, "lacks record"),
+            (lambda d: {**d, "window_s": None}, "window_s must be a positive"),
+            (lambda d: {k: v for k, v in d.items() if k != "probs"}, "lacks probs"),
+            (lambda d: {**d, "probs": ["0.5"]}, "probs must be a list of numbers"),
+            (lambda d: {**d, "probs": 0.5}, "probs must be a list of numbers"),
+            (lambda d: {**d, "truth_events": [[1]]}, "[a, b] integer pairs"),
+            (lambda d: {**d, "truth_events": [3]}, "[a, b] integer pairs"),
+            (lambda d: {**d, "window_s": "8"}, "window_s must be a positive number"),
+            (lambda d: {**d, "probs": [2.0]}, "probs must be finite and lie in"),
+        ],
+        ids=[
+            "non-utf8", "list", "no-record", "null-window", "no-probs",
+            "string-prob", "scalar-probs", "short-event", "scalar-event",
+            "string-window", "prob-above-1",
+        ],
+    )
+    def test_malformed_fold_file_is_config_error(
+        self, workdir, tmp_path, capsys, edit, message
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        for path in workdir["out_dir"].glob("fold_*.json"):
+            shutil.copy(path, out)
+        fold = sorted(out.glob("fold_*.json"))[0]
+        edited = edit(json.loads(fold.read_text()))
+        if not isinstance(edited, bytes):
+            edited = json.dumps(edited).encode()
+        fold.write_bytes(edited)
+        cfg = write_json(
+            tmp_path / "exp.json", experiment_dict(workdir["corpus_dir"], out)
+        )
+        assert main(["eval", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {fold.name}" in err and message in err
+        assert not (out / "eval_result.json").exists()
 
     def test_no_folds_is_config_error(self, workdir, tmp_path, capsys):
         cfg = write_json(
@@ -782,6 +839,34 @@ class TestCorruptCorpus:
         err = capsys.readouterr().err
         assert "config error" in err
         assert "'s00_r00'" in err and "[100.0, 110.0)" in err
+
+    @pytest.mark.parametrize(
+        "manifest, message",
+        [
+            ("[]", "needs a 'records' list"),
+            ('{"record": []}', "needs a 'records' list"),
+            ('{"records": [{"subject_id": "s00", "record_id": "r"}]}', "string"),
+            (
+                '{"records": [{"subject_id": 0, "record_id": "r", "path": "p"}]}',
+                "string subject_id, record_id and path",
+            ),
+            ('{"records": ', "is not valid JSON"),
+        ],
+        ids=["list", "no-records", "no-path", "int-subject", "truncated"],
+    )
+    def test_malformed_manifest_is_config_error(
+        self, workdir, tmp_path, capsys, manifest, message
+    ):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workdir["corpus_dir"], corpus)
+        (corpus / "manifest.json").write_text(manifest)
+        cfg = write_json(
+            tmp_path / "exp.json", experiment_dict(corpus, tmp_path / "out")
+        )
+        assert main(["pretrain", "--config", str(cfg), "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {corpus / 'manifest.json'}" in err
+        assert message in err
 
     def _replace_record(self, corpus, channels, rate):
         # 64 s long at any rate, so the record's annotation still fits

@@ -6,6 +6,7 @@ round-tripping through the parser with a quantization-step error bound.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -225,6 +226,24 @@ class TestWriteEdfRoundTrip:
             span = x.max() - x.min()
             step = 1.002 * span / (DIGITAL_MAX - DIGITAL_MIN)
             assert np.max(np.abs(back.samples[c] - x)) <= step
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "s01_r00.edf"
+        write_edf_file(path, self._random_recording(seed=1))
+        before = path.read_bytes()
+
+        def torn_write(self, data):
+            with open(self, "wb") as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            write_edf_file(path, self._random_recording(seed=2))
+        monkeypatch.undo()
+
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s01_r00.edf"]
 
     def test_flat_channel_survives_round_trip(self):
         rec = Recording(

@@ -5,11 +5,14 @@ arithmetic, masking semantics, zero-weight propagation, init/freeze
 policies, and gradient flow on small dimensions.
 """
 
+import struct
 from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seizenet.errors import CheckpointError, ConfigError, ShapeError
 from seizenet.model import (
@@ -59,6 +62,11 @@ def tiny_config(layers=2):
 
 def tiny_params(layers=2, seed=0):
     return init_weights(tiny_config(layers), "random", Rng(seed).child("init"))
+
+
+# a checkpoint of tiny_config() and the length of its JSON manifest
+_SAME_CONFIG_BLOB = checkpoint_bytes(tiny_params(seed=29), asdict(tiny_config()))
+(_MANIFEST_LEN,) = struct.unpack_from("<Q", _SAME_CONFIG_BLOB, 8)
 
 
 class TestModelConfig:
@@ -371,6 +379,46 @@ class TestInitPolicies:
     def test_load_policies_require_source(self):
         with pytest.raises(CheckpointError, match="source"):
             init_weights(tiny_config(), "load_shared", Rng(28).child("init"))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p.pop("conv.0.weight"),
+            lambda p: p.update({"conv.0.weight": p["conv.0.weight"][..., :1]}),
+        ],
+        ids=["missing", "misshapen"],
+    )
+    def test_same_config_source_must_hold_every_tensor(self, edit):
+        params, config = parse_checkpoint(_SAME_CONFIG_BLOB)
+        edit(params)
+        with pytest.raises(CheckpointError, match="conv.0.weight"):
+            init_weights(
+                tiny_config(), "load_shared", Rng(30).child("init"), (params, config)
+            )
+
+    @given(st.integers(0, _MANIFEST_LEN - 1), st.integers(0, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_flipped_manifest_bit_is_refused_or_loads_the_same_weights(
+        self, pos, bit
+    ):
+        def load(blob):
+            source = parse_checkpoint(blob)
+            return init_weights(
+                tiny_config(), "load_shared", Rng(31).child("init"), source=source
+            )
+
+        want = load(_SAME_CONFIG_BLOB)
+        blob = bytearray(_SAME_CONFIG_BLOB)
+        blob[16 + pos] ^= 1 << bit
+        try:
+            got = load(bytes(blob))
+        except CheckpointError:
+            return
+        assert got.keys() == want.keys()
+        for name, tensor in want.items():
+            assert got[name].data.dtype == tensor.data.dtype
+            assert got[name].data.shape == tensor.data.shape
+            assert got[name].data.tobytes() == tensor.data.tobytes(), name
 
 
 class TestFreezePolicies:

@@ -616,6 +616,58 @@ class TestLayerNorm:
         )
         assert report.passed(1e-4)
 
+    @pytest.mark.parametrize(
+        "frozen", [(), ("gamma",), ("gamma", "beta"), ("x",)], ids=str
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_match_the_kernel_that_saved_z(self, dtype, frozen):
+        rng = Rng(45).child("l")
+        x = rng.normal(loc=-1.0, scale=2.0, size=(3, 20, 16)).astype(dtype)
+        gamma = rng.uniform(-1.5, 1.5, size=16).astype(dtype)
+        beta = rng.normal(size=16).astype(dtype)
+        gy = rng.normal(size=x.shape).astype(dtype)
+        # the forward and backward that kept z on the tape, inline
+        mu = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + 1e-5)
+        z = (x - mu) * inv_std
+        want = {"y": z * gamma + beta}
+        want["gamma"] = (gy * z).sum(axis=(0, 1))
+        want["beta"] = gy.sum(axis=(0, 1))
+        ghat = gy * gamma
+        ghat_mean = ghat.mean(axis=-1, keepdims=True)
+        ghat_z_mean = (ghat * z).mean(axis=-1, keepdims=True)
+        want["x"] = (ghat - ghat_mean - z * ghat_z_mean) * inv_std
+
+        tensors = {
+            name: Tensor(a, requires_grad=name not in frozen)
+            for name, a in (("x", x), ("gamma", gamma), ("beta", beta))
+        }
+        y = layer_norm(tensors["x"], tensors["gamma"], tensors["beta"])
+        y.backward(gy)
+        have = {"y": y.data, **{n: t.grad for n, t in tensors.items()}}
+        for name, array in have.items():
+            if name in frozen:
+                assert array is None
+                continue
+            assert array.dtype == want[name].dtype == dtype
+            assert array.tobytes() == want[name].tobytes(), name
+
+    def test_forward_keeps_the_output_and_row_statistics_only(self):
+        rng = Rng(46).child("l")
+        x = Tensor(rng.normal(size=(4, 128, 64)).astype(np.float32), True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, size=64).astype(np.float32), True)
+        beta = Tensor(np.zeros(64, np.float32), True)
+        tracemalloc.start()
+        try:
+            y = layer_norm(x, gamma, beta)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert y.requires_grad
+        # y plus a mean and a 1/std per row is 1.03 y here; a saved z adds 1 y
+        assert kept < 1.25 * y.data.nbytes
+
 
 def composed_attention(x, heads, wq, wk, wv, wo):
     """Reference: multi-head attention composed from Tensor ops."""
@@ -1036,6 +1088,29 @@ class TestInitAndCheckpoint:
         (length,) = struct.unpack_from("<Q", good, 8)
         manifest = json.loads(good[16 : 16 + length])
         edit(manifest)
+        raw = json.dumps(manifest).encode()
+        blob = good[:8] + struct.pack("<Q", len(raw)) + raw + good[16 + length :]
+        with pytest.raises(CheckpointError, match=message):
+            parse_checkpoint(blob)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # a.w holds 24 bytes, b 16, so b starts at byte 24
+            (lambda t: t[0].update(shape=[2, 1]), "'b' starts at byte 24, not 8"),
+            (lambda t: t[1].update(offset=20), "'b' starts at byte 20, not 24"),
+            (lambda t: t.reverse(), "'b' starts at byte 24, not 0"),
+            (lambda t: t[1].update(shape=[2]), "end at byte 32, payload at 40"),
+            (lambda t: t.pop(), "end at byte 24, payload at 40"),
+            (lambda t: t.clear(), "end at byte 0, payload at 40"),
+        ],
+        ids=["shorter", "gap", "reordered", "short-last", "dropped", "empty"],
+    )
+    def test_tensor_table_must_tile_the_payload(self, edit, message):
+        good = checkpoint_bytes({"a.w": np.ones((2, 3)), "b": np.zeros(4)}, {"d": 1})
+        (length,) = struct.unpack_from("<Q", good, 8)
+        manifest = json.loads(good[16 : 16 + length])
+        edit(manifest["tensors"])
         raw = json.dumps(manifest).encode()
         blob = good[:8] + struct.pack("<Q", len(raw)) + raw + good[16 + length :]
         with pytest.raises(CheckpointError, match=message):
