@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 configuration errors, 3 protocol errors,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, is_dataclass, replace
@@ -21,8 +20,6 @@ from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 from typing import get_args, get_type_hints
-
-import numpy as np
 
 from .eegio import load_corpus
 from .errors import (
@@ -39,12 +36,13 @@ from .evalpost import (
     PostprocessSpec,
     PredictionTrack,
     aggregate,
+    label_runs,
     postprocess_labels,
     score_track,
-    truth_events_from_intervals,
 )
 from .model import FREEZE_POLICIES, INIT_POLICIES, MaskSpec, ModelConfig
-from .nn.checkpoint import config_hash, load_checkpoint, save_checkpoint, write_atomic
+from .nn import config_hash, load_checkpoint, save_checkpoint
+from .nn.checkpoint import json_text, read_json, write_atomic
 from .objectives import ContrastiveSpec, SswceSpec
 from .optim import OptimSpec, ScheduleSpec
 from .preprocess import PreprocessSpec
@@ -65,7 +63,7 @@ from .training import (
 PROTOCOL_FAILURES = (ProtocolError, SamplerError)
 NUMERIC_FAILURES = (NumericsError, TrainError)
 # caught after the two above, so every other SeizenetError exits 2
-CONFIG_FAILURES = (SeizenetError, OSError, json.JSONDecodeError)
+CONFIG_FAILURES = (SeizenetError, OSError)
 
 @dataclass
 class Experiment:
@@ -203,7 +201,7 @@ def load_experiment(
 ) -> Experiment:
     """Read an experiment config file: every key through ``_build_section``,
     with ``Experiment``'s defaults for those it leaves out."""
-    raw = json.loads(Path(path).read_text())
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError("experiment config must be a JSON object")
     if seed_override is not None:
@@ -218,10 +216,6 @@ def load_experiment(
 # ---------------------------------------------------------------------------
 
 
-def _dump_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
-
-
 def _write_atomic(path: Path, text: str) -> None:
     write_atomic(path, text.encode("utf-8"))
 
@@ -230,7 +224,7 @@ def _corpus_hash(corpus_dir: Path) -> str | None:
     manifest = corpus_dir / "manifest.json"
     if not manifest.exists():
         return None
-    return json.loads(manifest.read_text()).get("spec_hash")
+    return read_json(manifest).get("spec_hash")
 
 
 def _score_dict(score: EventScore) -> dict:
@@ -319,7 +313,7 @@ def _require_checkpoint(path: Path, exp: Experiment):
 
 
 def cmd_synth(args) -> int:
-    spec_dict = json.loads(Path(args.config).read_text())
+    spec_dict = read_json(args.config)
     if not isinstance(spec_dict, dict):
         raise ConfigError("corpus spec must be a JSON object")
     if args.seed is not None:
@@ -364,7 +358,7 @@ def cmd_pretrain(args) -> int:
         **_train_summary(result),
         "final_alignment_gap": result.info.get("final_alignment_gap"),
     }
-    _write_atomic(exp.out_dir / "pretrain_result.json", _dump_json(payload))
+    _write_atomic(exp.out_dir / "pretrain_result.json", json_text(payload))
     print(
         f"pretrained {result.epochs_run} epochs "
         f"(best {result.best_epoch}, hash {exp.hash[:12]})"
@@ -407,7 +401,7 @@ def cmd_second_pretrain(args) -> int:
         }
         print(f"second-pretrained target {subject}: {result.epochs_run} epochs")
     payload = {**_stage_header(exp, "second-pretrain"), "subjects": summaries}
-    _write_atomic(exp.out_dir / "second_result.json", _dump_json(payload))
+    _write_atomic(exp.out_dir / "second_result.json", json_text(payload))
     return 0
 
 
@@ -438,7 +432,6 @@ def _fold_task(plan: FoldPlan, dataset, init, exp: Experiment) -> dict:
 def cmd_loocv(args) -> int:
     exp = load_experiment(args.config, args.seed, args.out)
     recordings = load_corpus(exp.corpus_dir)
-    seizures = {rec.record_id: rec.seizures for rec in recordings}
     subjects = sorted(set(rec.subject_id for rec in recordings))
 
     plans: list[FoldPlan] = []
@@ -454,7 +447,7 @@ def cmd_loocv(args) -> int:
 
     if args.dry_run:
         print(
-            _dump_json(
+            json_text(
                 [
                     {
                         "subject": p.subject_id,
@@ -486,7 +479,6 @@ def cmd_loocv(args) -> int:
         subject: dataset.subset(lambda w, s=subject: w.subject_id == s)
         for subject in subjects
     }
-    sample_rate_hz = dataset.sample_rate_hz
     del dataset
     tasks = (
         plans,
@@ -504,14 +496,11 @@ def cmd_loocv(args) -> int:
     scores_by_subject: dict[str, list[EventScore]] = {}
     for outcome in outcomes:
         plan = outcome["plan"]
-        n_windows = len(outcome["probs"])
-        events = truth_events_from_intervals(
-            seizures[plan.test_record], n_windows, exp.window_s, sample_rate_hz
-        )
+        # the test windows were labelled from the record's truth events
         track = PredictionTrack(
             record_id=plan.test_record,
             probs=outcome["probs"],
-            truth_events=events,
+            truth_events=label_runs(outcome["test_labels"]),
             window_s=exp.window_s,
         )
         score = score_track(track)
@@ -523,13 +512,13 @@ def cmd_loocv(args) -> int:
             "window_s": exp.window_s,
             "probs": [float(p) for p in outcome["probs"]],
             "test_labels": [int(x) for x in outcome["test_labels"]],
-            "truth_events": [list(e) for e in events],
+            "truth_events": [list(e) for e in track.truth_events],
             "score": _score_dict(score),
             "train": outcome["train"],
         }
         _write_atomic(
             exp.out_dir / f"fold_{plan.subject_id}_{plan.test_record}.json",
-            _dump_json(payload),
+            json_text(payload),
         )
 
     per_subject = {
@@ -542,7 +531,7 @@ def cmd_loocv(args) -> int:
         "per_subject": {s: _score_dict(v) for s, v in per_subject.items()},
         "overall": _score_dict(overall),
     }
-    _write_atomic(exp.out_dir / "loocv_result.json", _dump_json(payload))
+    _write_atomic(exp.out_dir / "loocv_result.json", json_text(payload))
 
     rows = [
         (subject, len(scores_by_subject[subject]), payload["per_subject"][subject])
@@ -555,10 +544,7 @@ def cmd_loocv(args) -> int:
 
 def _read_track(path: Path, exp: Experiment) -> PredictionTrack:
     """One ``fold_*.json`` as a track, else ConfigError naming the file."""
-    try:
-        data = json.loads(path.read_text())
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
-        raise ConfigError(f"{path.name} is not valid JSON: {exc}") from None
+    data = read_json(path, path.name)
     if not isinstance(data, dict):
         raise ConfigError(f"{path.name} is not a JSON object")
     if data.get("config_hash") != exp.hash:
@@ -570,22 +556,9 @@ def _read_track(path: Path, exp: Experiment) -> PredictionTrack:
     missing = [k for k in keys if k not in data]
     if missing:
         raise ConfigError(f"{path.name} lacks {', '.join(missing)}")
-    probs, events, window_s = data["probs"], data["truth_events"], data["window_s"]
-    if not isinstance(probs, list) or any(type(p) not in (int, float) for p in probs):
-        raise ConfigError(f"{path.name}: probs must be a list of numbers")
-    if not isinstance(events, list) or any(
-        not isinstance(e, list) or len(e) != 2 or any(type(v) is not int for v in e)
-        for e in events
-    ):
-        raise ConfigError(f"{path.name}: truth events must be [a, b] integer pairs")
-    if type(window_s) not in (int, float) or not 0 < window_s <= sys.float_info.max:
-        raise ConfigError(f"{path.name}: window_s must be a positive number")
     try:
         return PredictionTrack(
-            record_id=data["record"],
-            probs=np.array(probs, dtype=np.float64),
-            truth_events=[tuple(e) for e in events],
-            window_s=float(window_s),
+            data["record"], data["probs"], data["truth_events"], data["window_s"]
         )
     except ConfigError as err:
         raise ConfigError(f"{path.name}: {err}") from None
@@ -633,7 +606,7 @@ def cmd_eval(args) -> int:
         "config_hash": exp.hash,
         "rows": rows,
     }
-    _write_atomic(pred_dir / "eval_result.json", _dump_json(payload))
+    _write_atomic(pred_dir / "eval_result.json", json_text(payload))
 
     _write_table(
         pred_dir / "eval_table.csv",

@@ -8,7 +8,6 @@ an in-band EDF+ annotations channel.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .errors import (
     ParseError,
     UnsupportedError,
 )
-from .nn.checkpoint import write_atomic
+from .nn.checkpoint import read_json, write_atomic
 
 EDF_HEADER_BYTES = 256
 EDF_SIGNAL_HEADER_BYTES = 256
@@ -306,15 +305,7 @@ def parse_edf(data: bytes) -> Recording:
             body, dtype="<i2", count=n_records * sum(spr)
         ).reshape(n_records, ns, spr[0])
         digital = raw.transpose(1, 0, 2).reshape(ns, n_records * spr[0])
-        gain = np.array(
-            [
-                (phys_max[i] - phys_min[i]) / (dig_max[i] - dig_min[i])
-                for i in range(ns)
-            ]
-        )
-        offset = np.array(
-            [phys_min[i] - dig_min[i] * gain[i] for i in range(ns)]
-        )
+        gain, offset = _gain_offset(phys_min, phys_max, dig_min, dig_max)
         samples = digital * gain[:, None] + offset[:, None]
 
     return Recording(
@@ -324,6 +315,14 @@ def parse_edf(data: bytes) -> Recording:
         channels=labels,
         samples=samples,
     )
+
+
+def _gain_offset(phys_min, phys_max, dig_min, dig_max):
+    """Per-channel ``(gain, offset)`` arrays mapping digital samples to
+    physical units: ``physical = digital * gain + offset``."""
+    phys_min, dig_min = np.array(phys_min), np.array(dig_min)
+    gain = (np.array(phys_max) - phys_min) / (np.array(dig_max) - dig_min)
+    return gain, phys_min - dig_min * gain
 
 
 def _fmt_field(value, width: int) -> bytes:
@@ -403,13 +402,7 @@ def write_edf(rec: Recording) -> bytes:
         for value in signal.get(name, [""] * ns):
             out += _fmt_field(value, width)
 
-    gain = np.array(
-        [
-            (pmax_vals[i] - pmin_vals[i]) / (DIGITAL_MAX - DIGITAL_MIN)
-            for i in range(ns)
-        ]
-    )
-    offset = np.array([pmin_vals[i] - DIGITAL_MIN * gain[i] for i in range(ns)])
+    gain, offset = _gain_offset(pmin_vals, pmax_vals, DIGITAL_MIN, DIGITAL_MAX)
     digital = np.rint((rec.samples - offset[:, None]) / gain[:, None])
     digital = np.clip(digital, DIGITAL_MIN, DIGITAL_MAX).astype("<i2")
     # records-major interleave: record 0 signal 0..ns, record 1 signal 0..ns
@@ -489,21 +482,23 @@ def load_corpus(corpus_dir: str | Path) -> list[Recording]:
     Expects ``<subject>/<record>.edf`` files, an ``annotations.csv`` keyed by
     record id, and optionally a ``manifest.json`` (used for the file list
     when present so ordering matches generation order).  Raises
-    ConfigError when the directory holds no record or the manifest is
-    malformed, and AnnotationError for an interval that ends past its record.
+    ConfigError when the directory holds no record, the manifest is
+    malformed or ``annotations.csv`` is not UTF-8, and AnnotationError for
+    an interval that ends past its record.
     """
     root = Path(corpus_dir)
     ann_path = root / "annotations.csv"
-    annotations = (
-        load_annotations(ann_path.read_text()) if ann_path.exists() else {}
-    )
+    annotations = {}
+    if ann_path.exists():
+        try:
+            text = ann_path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{ann_path} is not UTF-8: {exc}") from None
+        annotations = load_annotations(text)
 
     manifest_path = root / "manifest.json"
     if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
-            raise ConfigError(f"{manifest_path} is not valid JSON: {exc}") from None
+        manifest = read_json(manifest_path)
         records = manifest.get("records") if isinstance(manifest, dict) else None
         keys = ("subject_id", "record_id", "path")
         if not isinstance(records, list) or not all(

@@ -10,7 +10,9 @@ pool alarms over duration rather than averaging per record.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -94,6 +96,13 @@ def postprocess_labels(labels, method: str, w: int) -> np.ndarray:
     return arr
 
 
+def label_runs(labels) -> list[tuple[int, int]]:
+    """The maximal runs of ones in binary ``labels``, as half-open
+    ``(start, end)`` window-index pairs in order."""
+    edges = np.flatnonzero(np.diff(_check_labels(labels), prepend=0, append=0))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+
 def truth_events_from_intervals(
     intervals: list[SeizureInterval],
     n_windows: int,
@@ -135,20 +144,39 @@ class PredictionTrack:
     threshold: float = DEFAULT_THRESHOLD
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
+        try:
+            probs = np.asarray(self.probs)
+        except ValueError:  # ragged nested lists
+            probs = np.asarray(None)
+        # kind before the float conversion, which would take "0.5" and True
+        if probs.ndim != 1 or probs.dtype.kind not in "iuf":
+            raise ConfigError("probs must be a list of numbers")
+        probs = probs.astype(np.float64, copy=False)
         object.__setattr__(self, "probs", probs)
-        if probs.ndim != 1:
-            raise ConfigError("probs must be one-dimensional")
         if probs.size and (
             not np.isfinite(probs).all() or probs.min() < 0 or probs.max() > 1
         ):
             raise ConfigError("probs must be finite and lie in [0, 1]")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
-        if self.window_s <= 0:
-            raise ConfigError("window_s must be positive")
+        window_s = self.window_s
+        if isinstance(window_s, bool) or not (
+            isinstance(window_s, Real) and 0 < window_s < math.inf
+        ):
+            raise ConfigError(f"window_s must be a positive number, got {window_s!r}")
+        object.__setattr__(self, "window_s", float(window_s))
+        events = self.truth_events
+        if not isinstance(events, (list, tuple)) or not all(
+            isinstance(e, (list, tuple))
+            and len(e) == 2
+            and all(isinstance(v, Integral) and not isinstance(v, bool) for v in e)
+            for e in events
+        ):
+            raise ConfigError("truth events must be [a, b] integer pairs")
+        events = [(int(a), int(b)) for a, b in events]
+        object.__setattr__(self, "truth_events", events)
         prev = 0
-        for a, b in self.truth_events:
+        for a, b in events:
             if not 0 <= a < b <= probs.size:
                 raise ConfigError(f"truth event ({a}, {b}) out of bounds")
             if a < prev:
@@ -240,28 +268,14 @@ def false_positives_per_hour(track: PredictionTrack) -> AlarmReport:
     """Merged false-alarm runs and their pooled hourly rate."""
     if track.n_windows == 0:
         raise MetricError("cannot rate a zero-duration track")
-    labels = track.labels()
-    alarms: list[tuple[int, int]] = []
-    false_windows = 0
-    i = 0
-    n = labels.size
-    while i < n:
-        if labels[i] == 0:
-            i += 1
-            continue
-        j = i
-        while j < n and labels[j] == 1:
-            j += 1
-        touches_truth = any(
-            max(i, a) < min(j, b) for a, b in track.truth_events
-        )
-        if not touches_truth:
-            alarms.append((i, j))
-            false_windows += j - i
-        i = j
+    alarms = [
+        (i, j)
+        for i, j in label_runs(track.labels())
+        if not any(max(i, a) < min(j, b) for a, b in track.truth_events)
+    ]
     return AlarmReport(
         alarms=alarms,
-        false_window_count=false_windows,
+        false_window_count=sum(j - i for i, j in alarms),
         duration_h=track.duration_h,
     )
 

@@ -6,7 +6,8 @@ the sha256 of the payload), then the arrays concatenated as little-endian
 float32.  Arrays are stored in sorted name order so identical parameter
 sets serialize byte-identically.  Loading checks both hashes and that the
 tensors tile the payload, and returns float32 arrays, so a float32 model
-round-trips exactly.
+round-trips exactly.  The module also holds the file primitives every
+stage shares: the atomic write and the JSON reader and writer.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ConfigError
 from .tensor import Tensor
 
 MAGIC = b"SZCK0001"
@@ -66,6 +67,20 @@ def write_atomic(path: str | Path, data: bytes) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def json_text(data) -> str:
+    """The one layout of every JSON file the package writes."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def read_json(path: str | Path, name: str | None = None):
+    """The decoded UTF-8 JSON file ``path``, else ConfigError naming it as
+    ``name`` (the path when not given)."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
+        raise ConfigError(f"{name or path} is not valid JSON: {exc}") from None
 
 
 def save_checkpoint(

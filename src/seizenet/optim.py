@@ -141,7 +141,7 @@ class PlateauEarlyStopper:
 # ---------------------------------------------------------------------------
 
 
-def weighted_sampler(labels, rng: Rng, chunk: int = 1024):
+def weighted_sampler(labels, rng: Rng):
     """Infinite index stream with per-sample weight 1/count(class).
 
     Expected class mix is 50/50 regardless of imbalance.  Deterministic
@@ -160,8 +160,8 @@ def weighted_sampler(labels, rng: Rng, chunk: int = 1024):
     indices = np.arange(len(labels))
 
     def stream():
-        while True:
-            yield from rng.choice(indices, size=chunk, replace=True, p=weights)
+        while True:  # one uniform draw per index, so the chunk size is invisible
+            yield from rng.choice(indices, size=1024, replace=True, p=weights)
 
     return stream()
 

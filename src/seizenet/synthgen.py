@@ -10,16 +10,15 @@ regenerate bit-identically.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .eegio import Recording, SeizureInterval, write_edf
+from .eegio import Recording, SeizureInterval, write_edf_file
 from .errors import SpecError
-from .nn.checkpoint import config_hash, write_atomic
+from .nn.checkpoint import config_hash, json_text, read_json, write_atomic
 from .rand import Rng
 
 MIN_SEIZURE_GAP_S = 16.0
@@ -201,7 +200,7 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict:
     for s, r in indices:
         rec = generate_recording(spec, s, r)
         rel_path = f"{rec.subject_id}/{rec.record_id}.edf"
-        write_atomic(root / rel_path, write_edf(rec))
+        write_edf_file(root / rel_path, rec)
         for iv in rec.seizures:
             annotation_lines.append(f"{rec.record_id},{iv.start_s},{iv.end_s}")
         records.append(
@@ -219,6 +218,5 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict:
         "spec_hash": spec_hash(spec),
         "records": records,
     }
-    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    write_atomic(root / "manifest.json", text.encode("utf-8"))
-    return json.loads(text)  # lists where the spec holds tuples, as on disk
+    write_atomic(root / "manifest.json", json_text(manifest).encode("utf-8"))
+    return read_json(root / "manifest.json")  # lists where the spec holds tuples

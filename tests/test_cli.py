@@ -17,10 +17,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from seizenet.cli import load_experiment, main
 from seizenet.eegio import Recording, WindowedDataset, load_corpus, write_edf_file
 from seizenet.errors import NumericsError, SeizenetError, TrainError
+from seizenet.evalpost import label_runs, truth_events_from_intervals
 
 CORPUS_SPEC = {
     "subjects": 2,
@@ -321,6 +324,20 @@ class TestLoocv:
         assert data["truth_events"], "every record carries one seizure"
         for a, b in data["truth_events"]:
             assert 0 <= a < b <= 32
+
+    def test_truth_events_are_the_runs_of_the_test_labels(self, workdir):
+        # which are the windows of the record's annotated seizures, the rule
+        # the labels were made by
+        recordings = {r.record_id: r for r in load_corpus(workdir["corpus_dir"])}
+        for path in sorted(workdir["out_dir"].glob("fold_*.json")):
+            data = json.loads(path.read_text())
+            runs = label_runs(data["test_labels"])
+            assert data["truth_events"] == [list(run) for run in runs]
+            rec = recordings[data["record"]]
+            n, fs = len(data["test_labels"]), rec.sample_rate_hz
+            assert runs == truth_events_from_intervals(
+                rec.seizures, n, data["window_s"], fs
+            )
 
     def test_aggregate_result(self, workdir):
         out = workdir["out_dir"]
@@ -799,6 +816,66 @@ class TestDryRunsPlanFromTheCorpus:
         assert main(args) == 0
         out = capsys.readouterr().out
         assert out == json.dumps(plans, sort_keys=True, indent=2) + "\n"
+
+
+# the input files a user hands the stages
+INPUT_FILES = ("experiment config", "corpus spec", "annotations.csv")
+
+
+class TestEditedInputFiles:
+    """Edited bytes of a user's input file, read by the dry run that reads
+    it, end in a documented exit code and never in a traceback."""
+
+    def _input(self, workdir, tmp_path, target):
+        """(the file, its original bytes, the dry run that reads it)."""
+        corpus = tmp_path / "corpus"
+        if not corpus.exists():
+            shutil.copytree(workdir["corpus_dir"], corpus)
+        exp = experiment_dict(corpus, tmp_path / "out")
+        cfg = write_json(tmp_path / "exp.json", exp)
+        pretrain = ["pretrain", "--config", str(cfg), "--dry-run"]
+        if target == "experiment config":
+            return cfg, cfg.read_bytes(), pretrain
+        if target == "annotations.csv":
+            original = (workdir["corpus_dir"] / "annotations.csv").read_bytes()
+            return corpus / "annotations.csv", original, pretrain
+        spec = write_json(tmp_path / "corpus.json", CORPUS_SPEC)
+        synth = ["synth", "--config", str(spec), "--out", str(tmp_path / "synth")]
+        return spec, spec.read_bytes(), [*synth, "--dry-run"]
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        target=st.sampled_from(INPUT_FILES),
+        position=st.integers(0, 2**16),
+        byte=st.integers(0, 255),
+        op=st.sampled_from(["replace", "insert", "delete"]),
+    )
+    @example(target="experiment config", position=0, byte=0xFF, op="replace")
+    @example(target="corpus spec", position=0, byte=0xFF, op="replace")
+    @example(target="annotations.csv", position=0, byte=0xFF, op="replace")
+    def test_any_one_byte_edit_ends_in_a_documented_exit_code(
+        self, workdir, tmp_path, target, position, byte, op
+    ):
+        path, data, argv = self._input(workdir, tmp_path, target)
+        i = position % (len(data) + 1)
+        new = b"" if op == "delete" else bytes([byte])
+        path.write_bytes(data[:i] + new + data[i + (op != "insert") :])
+        assert main(argv) in (0, 2, 3, 4)
+
+    @pytest.mark.parametrize("target", INPUT_FILES)
+    def test_non_utf8_file_is_config_error_naming_it(
+        self, workdir, tmp_path, capsys, target
+    ):
+        path, data, argv = self._input(workdir, tmp_path, target)
+        path.write_bytes(data.replace(b"s", b"\xff", 1))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path} is not" in err
+        assert "'utf-8' codec can't decode byte 0xff" in err
 
 
 class TestCorruptCorpus:

@@ -17,6 +17,7 @@ from seizenet.evalpost import (
     aggregate,
     event_sensitivity,
     false_positives_per_hour,
+    label_runs,
     postprocess_labels,
     score_track,
     smooth_majority,
@@ -44,6 +45,19 @@ def oracle_score(labels, truth, window_s=8.0):
         i = j
     hours = n * window_s / 3600.0
     return detected, alarms, len(alarms) / hours
+
+
+def brute_runs(labels):
+    """Every (a, b) whose slice is all ones and cannot be widened."""
+    n = len(labels)
+    return [
+        (a, b)
+        for a in range(n)
+        for b in range(a + 1, n + 1)
+        if all(labels[a:b])
+        and (a == 0 or not labels[a - 1])
+        and (b == n or not labels[b])
+    ]
 
 
 def random_track(rng: Rng):
@@ -160,6 +174,33 @@ class TestTruthEvents:
             256.0,
         )
         assert events == [(1, 2)]
+
+
+class TestLabelRuns:
+    @pytest.mark.parametrize(
+        "labels, runs",
+        [
+            ([], []),
+            ([0, 0, 0], []),
+            ([1, 1, 1], [(0, 3)]),
+            ([1, 0, 1, 1, 0], [(0, 1), (2, 4)]),
+        ],
+        ids=["empty", "all-zero", "all-one", "edges"],
+    )
+    def test_hand_cases(self, labels, runs):
+        assert label_runs(np.array(labels, dtype=np.int64)) == runs
+
+    def test_matches_brute_force(self):
+        rng = Rng(23).child("runs")
+        for _ in range(500):
+            labels = rng.integers(0, 2, size=int(rng.integers(0, 40))).tolist()
+            runs = label_runs(labels)
+            assert runs == brute_runs(labels)
+            assert all(type(v) is int for run in runs for v in run)
+
+    def test_nonbinary_rejected(self):
+        with pytest.raises(ConfigError):
+            label_runs([0, 2])
 
 
 class TestSensitivity:
@@ -328,6 +369,36 @@ class TestTrackValidation:
     def test_overlapping_truth(self):
         with pytest.raises(ConfigError):
             PredictionTrack("r", np.zeros(10), [(0, 5), (3, 7)])
+
+    @pytest.mark.parametrize(
+        "probs", [["0.5"], [True], 0.5, [[0.5]], [[0.5], [0.5, 0.5]], [None]]
+    )
+    def test_probs_that_are_not_a_list_of_numbers(self, probs):
+        with pytest.raises(ConfigError, match="probs must be a list of numbers"):
+            PredictionTrack("r", probs)
+
+    @pytest.mark.parametrize(
+        "events", [[(1,)], [3], [(0.0, 1)], [(True, 1)], [("0", 1)], "01", None]
+    )
+    def test_truth_events_that_are_not_integer_pairs(self, events):
+        with pytest.raises(ConfigError, match=r"\[a, b\] integer pairs"):
+            PredictionTrack("r", np.zeros(4), events)
+
+    @pytest.mark.parametrize(
+        "window_s", [0, -2.0, float("inf"), float("nan"), True, "8", None]
+    )
+    def test_window_that_is_not_a_positive_number(self, window_s):
+        with pytest.raises(ConfigError, match="window_s must be a positive number"):
+            PredictionTrack("r", np.zeros(4), window_s=window_s)
+
+    def test_values_are_stored_as_python_numbers(self):
+        track = PredictionTrack(
+            "r", [0, 1, 0.5], [[np.int64(0), np.int64(2)]], window_s=np.int64(8)
+        )
+        assert track.probs.dtype == np.float64
+        assert track.truth_events == [(0, 2)]
+        assert all(type(v) is int for v in track.truth_events[0])
+        assert type(track.window_s) is float and track.window_s == 8.0
 
     def test_with_labels_requires_same_length(self):
         track = PredictionTrack("r", np.zeros(4))
