@@ -1,4 +1,4 @@
-"""Microbenchmark of GELU, conv, attention, a train step, eval forward, ingest, setup.
+"""Microbenchmark of the nn kernels, train and eval steps, ingest and setup.
 
 Run from anywhere; ``--src`` picks the seizenet source tree to time, so the
 same script measures a checkout and its parent side by side:
@@ -21,6 +21,12 @@ Cases, each run once untimed and then ``--repeats`` times in this process:
 - ``attn.forward`` and ``attn.backward``: one ``nn.multi_head_attention``
   at the ``cli-attn`` shape, a (16, 172, 64) float32 input and four
   (64, 64) weights, all needing a gradient, with 4 heads;
+- ``conv_block.forward`` and ``conv_block.backward``: ``nn.conv_block`` at
+  conv block 0 of ``cli-conv``, a (32, 20, 2048) float32 window batch that
+  needs no gradient, a (64, 20, 3) weight, a bias, stride 3, group norm
+  over 16 groups and training-mode dropout at p = 0.1; on a tree without
+  ``nn.conv_block`` (``--src`` of an older checkout), the four ops it
+  replaced, ``conv1d``, ``dropout``, ``group_norm`` and ``gelu``, composed;
 - ``<shape>.train_step``: ``zero_grads``, ``forward_classifier`` with
   dropout, ``sswce_loss``, ``backward`` and ``adam_step``, the step that
   second pretraining and every LOOCV fold take;
@@ -83,6 +89,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 GELU_SHAPE = (32, 64, 683)
+# cli-conv block 0: 20 channels x 2048 samples in, 64 out, kernel 3, stride 3
+BLOCK_SHAPE, BLOCK_WEIGHT, BLOCK_GROUPS, BLOCK_P = (32, 20, 2048), (64, 20, 3), 16, 0.1
 CONV_SHAPE, CONV_KERNEL = (32, 64, 682), 2
 # cli-attn: 170 positions plus the special token, width 64
 POS_SHAPE, POS_KERNEL, POS_GROUPS = (16, 172, 64), 25, 16
@@ -122,6 +130,38 @@ def _conv_case(sn, rng, name, x_data, w_shape, stride, padding=0, groups=1):
         out.backward(g)
         t2 = time.perf_counter()
         return {f"{name}.forward": t1 - t0, f"{name}.backward": t2 - t1}
+
+    return run
+
+
+def _block_case(sn, rng):
+    x_data = rng.normal(size=BLOCK_SHAPE).astype(np.float32)
+    c_out, c_in, k = BLOCK_WEIGHT
+    w_data = (rng.normal(size=BLOCK_WEIGHT) / np.sqrt(c_in * k)).astype(np.float32)
+    l_out = (BLOCK_SHAPE[2] - k) // k + 1
+    g = rng.normal(size=(BLOCK_SHAPE[0], c_out, l_out)).astype(np.float32)
+    ops = sn.nn
+
+    def composed(x, w, b, gamma, beta, stride, groups, p, mask, training):
+        h = ops.dropout(ops.conv1d(x, w, b, stride=stride), p, mask, training)
+        return ops.gelu(ops.group_norm(h, groups, gamma, beta))
+
+    block = getattr(ops, "conv_block", composed)
+
+    def run(_):
+        x = ops.Tensor(x_data)
+        w = ops.Tensor(w_data, requires_grad=True)
+        b, gamma, beta = (
+            ops.Tensor(np.full(c_out, v, np.float32), requires_grad=True)
+            for v in (0.0, 1.0, 0.0)
+        )
+        mask = sn.rand.Rng(1).child("conv_drop", 0)
+        t0 = time.perf_counter()
+        out = block(x, w, b, gamma, beta, k, BLOCK_GROUPS, BLOCK_P, mask, True)
+        t1 = time.perf_counter()
+        out.backward(g)
+        t2 = time.perf_counter()
+        return {"conv_block.forward": t1 - t0, "conv_block.backward": t2 - t1}
 
     return run
 
@@ -345,6 +385,7 @@ def main(argv=None) -> int:
     pos_pad = POS_KERNEL // 2
     runs.append(_conv_case(sn, rng, "pos_conv", pos_x, pos_w, 1, pos_pad, POS_GROUPS))
     runs.append(_attn_case(sn, rng))
+    runs.append(_block_case(sn, rng))  # last, so the inputs above keep their draws
 
     samples: dict[str, list[float]] = {}
     with tempfile.TemporaryDirectory(prefix="seizenet-step-") as workdir:

@@ -40,7 +40,7 @@ from .evalpost import (
     postprocess_labels,
     score_track,
 )
-from .model import FREEZE_POLICIES, INIT_POLICIES, MaskSpec, ModelConfig
+from .model import FREEZE_POLICIES, INIT_POLICIES, MaskSpec, ModelConfig, init_weights
 from .nn import config_hash, load_checkpoint, save_checkpoint
 from .nn.checkpoint import json_text, read_json, write_atomic
 from .objectives import ContrastiveSpec, SswceSpec
@@ -369,7 +369,12 @@ def cmd_pretrain(args) -> int:
 def cmd_second_pretrain(args) -> int:
     exp = load_experiment(args.config, args.seed, args.out)
     recordings = load_corpus(exp.corpus_dir)
+    checkpoint = exp.out_dir / "pretrain.ckpt"
     if args.dry_run:
+        # a checkpoint already written gets the checks the run makes on it
+        if exp.init_policy != "random" and checkpoint.exists():
+            init = _require_checkpoint(checkpoint, exp)
+            init_weights(exp.model, exp.init_policy, Rng(exp.seed), source=init)
         subjects = sorted({rec.subject_id for rec in recordings})
         print(f"would second-pretrain for targets: {', '.join(subjects)}")
         return 0
@@ -378,7 +383,7 @@ def cmd_second_pretrain(args) -> int:
     subjects = sorted(dataset.subject_ids())
     init = None
     if exp.init_policy != "random":
-        init = _require_checkpoint(exp.out_dir / "pretrain.ckpt", exp)
+        init = _require_checkpoint(checkpoint, exp)
     summaries = {}
     for subject in subjects:
         result = run_second_pretraining(

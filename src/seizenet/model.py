@@ -20,9 +20,9 @@ from .errors import CheckpointError, ConfigError, ShapeError
 from .nn.checkpoint import config_hash
 from .nn.ops import (
     conv1d,
+    conv_block,
     dropout,
     gelu,
-    group_norm,
     kaiming_uniform,
     layer_norm,
     linear,
@@ -353,21 +353,18 @@ def encode(
     encoded_length(config, x.shape[2])  # raises if too short
     h = x
     for i, stride in enumerate(config.conv_strides):
-        h = conv1d(
+        h = conv_block(
             h,
             params[f"conv.{i}.weight"],
             params[f"conv.{i}.bias"],
-            stride=stride,
-        )
-        if training:
-            h = dropout(h, config.dropout_p, rng.child("conv_drop", i), training)
-        h = group_norm(
-            h,
-            config.group_norm_groups,
             params[f"conv.{i}.gn.gamma"],
             params[f"conv.{i}.gn.beta"],
+            stride=stride,
+            groups=config.group_norm_groups,
+            p=config.dropout_p,
+            rng=rng.child("conv_drop", i) if training else None,
+            training=training,
         )
-        h = gelu(h)
     return h.transpose(0, 2, 1)  # (N, S, D)
 
 

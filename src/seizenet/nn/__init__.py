@@ -10,6 +10,7 @@ from .checkpoint import (
 from .gradcheck import GradCheckReport, grad_check
 from .ops import (
     conv1d,
+    conv_block,
     dropout,
     gelu,
     group_norm,
@@ -29,6 +30,7 @@ __all__ = [
     "concat",
     "config_hash",
     "conv1d",
+    "conv_block",
     "dropout",
     "gelu",
     "grad_check",

@@ -27,7 +27,7 @@ _ERF_P = tuple(0.5 * c for c in (-2.72614225801306e-10, 2.77068142495902e-08,
     -2.95459980854025e-03, -1.60960333262415e-02))
 _ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
     -7.37332916720468e-03, -1.42647390514189e-02)
-_CDF_BLOCK = 65536  # elements per in-place pass: four 256 KiB buffers, in L2
+_CDF_BLOCK = 65536  # elements per in-place pass: 256 KiB float32 scratch rows, in L2
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -42,48 +42,86 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return out
 
 
-def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF in the dtype of ``x``: float32 by the blocked rational
-    erf above, clipped to [0, 1], error <= 3e-7; float64 exactly, by math.erf."""
+def _cdf_into(x: np.ndarray, p: np.ndarray, work: np.ndarray) -> None:
+    """Write Phi of the flat block ``x`` into ``p``: float32 by the rational erf
+    above, clipped to [0, 1], error <= 3e-7; float64 exactly, by math.erf.
+    ``work`` has three scratch rows at least as long as ``x``."""
     if x.dtype != np.float32:
-        return 0.5 * (1 + np.asarray(np.frompyfunc(math.erf, 1, 1)(x / _SQRT2), float))
+        p[...] = 0.5 * (1 + np.asarray(np.frompyfunc(math.erf, 1, 1)(x / _SQRT2), float))
+        return
+    z, z2, q = work[:3, : x.size]
+    np.multiply(x, 1.0 / _SQRT2, out=z)
+    np.clip(z, -4.0, 4.0, out=z)
+    np.multiply(z, z, out=z2)
+    for out, coeffs in ((p, _ERF_P), (q, _ERF_Q)):
+        np.multiply(z2, coeffs[0], out=out)
+        for c in coeffs[1:-1]:
+            out += c
+            out *= z2
+        out += coeffs[-1]
+    p *= z
+    p /= q
+    p += 0.5
+    np.clip(p, 0.0, 1.0, out=p)
+
+
+def _work(flat: np.ndarray, rows: int) -> np.ndarray:
+    """``rows`` scratch rows, each one ``_CDF_BLOCK`` of ``flat`` long."""
+    return np.empty((rows, min(_CDF_BLOCK, flat.size)), flat.dtype)
+
+
+def _gelu(x: np.ndarray, keep_cdf: bool = False, out: np.ndarray | None = None):
+    """(x * Phi(x), Phi(x) if ``keep_cdf`` else None), one ``_CDF_BLOCK`` at a
+    time.  ``out``, a C-contiguous array of x's shape, takes the product and
+    may be ``x`` itself."""
     flat = np.ascontiguousarray(x).reshape(-1)
-    cdf = np.empty_like(flat)
-    z, z2, q = np.empty((3, min(_CDF_BLOCK, flat.size)), np.float32)
+    y = np.empty_like(flat) if out is None else out.reshape(-1)
+    cdf = np.empty_like(flat) if keep_cdf else None
+    work = _work(flat, 4)
     for start in range(0, flat.size, _CDF_BLOCK):
-        p = cdf[start : start + _CDF_BLOCK]
-        zb, z2b, qb = z[: p.size], z2[: p.size], q[: p.size]
-        np.multiply(flat[start : start + _CDF_BLOCK], 1.0 / _SQRT2, out=zb)
-        np.clip(zb, -4.0, 4.0, out=zb)
-        np.multiply(zb, zb, out=z2b)
-        for out, coeffs in ((p, _ERF_P), (qb, _ERF_Q)):
-            np.multiply(z2b, coeffs[0], out=out)
-            for c in coeffs[1:-1]:
-                out += c
-                out *= z2b
-            out += coeffs[-1]
-        p *= zb
-        p /= qb
-        p += 0.5
-        np.clip(p, 0.0, 1.0, out=p)
-    return cdf.reshape(x.shape)
+        xb = flat[start : start + _CDF_BLOCK]
+        p = work[3, : xb.size] if cdf is None else cdf[start : start + _CDF_BLOCK]
+        _cdf_into(xb, p, work)
+        np.multiply(xb, p, out=y[start : start + _CDF_BLOCK])
+    return y.reshape(x.shape), None if cdf is None else cdf.reshape(x.shape)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Exact GELU: x * Phi(x), with Phi from ``_normal_cdf``."""
-    cdf = _normal_cdf(x.data)
-
-    def backward(g):
-        buf = np.square(x.data)  # g * (cdf + x * pdf), in one buffer
+def _gelu_backward(g: np.ndarray, x: np.ndarray, cdf: np.ndarray | None = None):
+    """g * (Phi(x) + x * pdf(x)), the input gradient of ``_gelu`` from ``g`` at
+    its output, one ``_CDF_BLOCK`` at a time; written over ``g`` when g is
+    C-contiguous.  Phi is recomputed block by block when ``cdf`` is None."""
+    gf = np.ascontiguousarray(g).reshape(-1)
+    flat = np.ascontiguousarray(x).reshape(-1)
+    cf = None if cdf is None else np.ascontiguousarray(cdf).reshape(-1)
+    work = _work(flat, 5)
+    for start in range(0, flat.size, _CDF_BLOCK):
+        xb = flat[start : start + _CDF_BLOCK]
+        buf = work[3, : xb.size]
+        np.square(xb, out=buf)
         buf *= -0.5
         np.exp(buf, out=buf)
         buf *= _INV_SQRT_2PI
-        buf *= x.data
-        buf += cdf
-        buf *= g
-        x.accumulate_grad(buf)
+        buf *= xb
+        if cf is None:
+            p = work[4, : xb.size]
+            _cdf_into(xb, p, work)
+            buf += p
+        else:
+            buf += cf[start : start + _CDF_BLOCK]
+        gb = gf[start : start + _CDF_BLOCK]
+        np.multiply(buf, gb, out=gb)
+    return gf.reshape(x.shape)
 
-    return Tensor.from_op(x.data * cdf, (x,), backward)
+
+def gelu(x: Tensor) -> Tensor:
+    """Exact GELU: x * Phi(x); the tape keeps x and Phi(x)."""
+    y, cdf = _gelu(x.data, keep_cdf=True)
+
+    def backward(g):
+        # g is this node's own buffer, dropped by the tape after this rule
+        x.accumulate_grad(_gelu_backward(g, x.data, cdf))
+
+    return Tensor.from_op(y, (x,), backward)
 
 
 def _softmax(a: np.ndarray, axis: int) -> np.ndarray:
@@ -113,27 +151,46 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor.from_op(y, (x,), backward)
 
 
-def dropout(x: Tensor, p: float, rng: Rng | None, training: bool) -> Tensor:
-    """Inverted dropout: scale kept activations by 1/(1-p) at train time."""
+def _dropout_mask(shape, p: float, rng: Rng | None, training: bool):
+    """The one-byte keep mask of inverted dropout, or None where dropout is
+    the identity (at eval time, or p = 0)."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must lie in [0, 1), got {p}")
     if not training or p == 0.0:
-        return x
+        return None
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    # a one-byte mask: x * keep * scale gives the bytes of x * (keep / (1 - p)),
-    # signed zeros, overflow and NaN included
-    keep = rng.uniform(size=x.shape) >= p
-    scale = np.asarray(1, x.data.dtype) / (1.0 - p)
+    # uniform(size=shape) >= p, drawn one _CDF_BLOCK at a time from the same
+    # stream, so no float64 array of the full shape is made
+    keep = np.empty(shape, bool)
+    flat = keep.reshape(-1)
+    u = np.empty(min(_CDF_BLOCK, flat.size))
+    for start in range(0, flat.size, _CDF_BLOCK):
+        ub = rng.random(out=u[: flat.size - start])
+        np.greater_equal(ub, p, out=flat[start : start + _CDF_BLOCK])
+    return keep
+
+
+def _dropout(a: np.ndarray, keep: np.ndarray, p: float, out=None) -> np.ndarray:
+    """a * keep * 1/(1-p): the bytes of a * (keep / (1 - p)), signed zeros,
+    overflow and NaN included.  Dropout is linear, so this is both its
+    forward and, with ``a`` the output gradient, its backward."""
+    out = np.multiply(a, keep, out=out)
+    out *= np.asarray(1, a.dtype) / (1.0 - p)
+    return out
+
+
+def dropout(x: Tensor, p: float, rng: Rng | None, training: bool) -> Tensor:
+    """Inverted dropout: scale kept activations by 1/(1-p) at train time."""
+    keep = _dropout_mask(x.shape, p, rng, training)
+    if keep is None:
+        return x
 
     def backward(g):
-        gx = g * keep
-        gx *= scale
-        x.accumulate_grad(gx)
+        # g is this node's own buffer, dropped by the tape after this rule
+        x.accumulate_grad(_dropout(g, keep, p, out=g))
 
-    out = x.data * keep
-    out *= scale
-    return Tensor.from_op(out, (x,), backward)
+    return Tensor.from_op(_dropout(x.data, keep, p), (x,), backward)
 
 
 def _conv_shape_check(x, weight, stride, padding, groups):
@@ -169,6 +226,40 @@ def _windows(x, k, stride, padding, groups):
     )
 
 
+def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride, padding, groups):
+    """The forward of ``conv1d`` on an (N, C_in, L) array: (N, C_out, L_out)."""
+    n, c_in, length, c_out, k = _conv_shape_check(x, w, stride, padding, groups)
+    l_out = (length + 2 * padding - k) // stride + 1
+    # (g, C_out/g, C_in/g*K) @ (N, g, C_in/g*K, L_out) writes the
+    # (N, C_out, L_out) output directly
+    wmat = w.reshape(groups, c_out // groups, (c_in // groups) * k)
+    y = (wmat @ _windows(x, k, stride, padding, groups)).reshape(n, c_out, l_out)
+    return y if b is None else y + b[:, None]
+
+
+def _conv_backward(gy, x: Tensor, weight: Tensor, bias, stride, padding, g):
+    """Accumulate the gradients of ``_conv`` at output gradient ``gy`` into
+    those of x (batched), weight and bias that need one."""
+    n, c_in, length = x.shape
+    c_out, _, k = weight.shape
+    l_out = gy.shape[-1]
+    gy4 = gy.reshape(n, g, c_out // g, l_out)
+    if weight.requires_grad:
+        cols = _windows(x.data, k, stride, padding, g)
+        gw = (gy4 @ cols.transpose(0, 1, 3, 2)).sum(axis=0)
+        weight.accumulate_grad(gw.reshape(weight.shape))
+    if bias is not None and bias.requires_grad:
+        bias.accumulate_grad(gy.reshape(n, c_out, l_out).sum(axis=(0, 2)))
+    if x.requires_grad:
+        wmat = weight.data.reshape(g, c_out // g, (c_in // g) * k)
+        gwin = (wmat.transpose(0, 2, 1) @ gy4).reshape(n, c_in, k, l_out)
+        gxp = np.zeros((n, c_in, length + 2 * padding), x.data.dtype)
+        span = stride * (l_out - 1) + 1
+        for kk in range(k):  # tap kk of window j reads sample j*stride + kk
+            gxp[:, :, kk : kk + span : stride] += gwin[:, :, kk]
+        x.accumulate_grad(gxp[:, :, padding : padding + length])
+
+
 def conv1d(
     x: Tensor,
     weight: Tensor,
@@ -187,74 +278,85 @@ def conv1d(
     """
     squeeze = x.ndim == 2
     xb = x.reshape(1, *x.shape) if squeeze else x
-    n, c_in, length, c_out, k = _conv_shape_check(
-        xb.data, weight.data, stride, padding, groups
-    )
-    l_out = (length + 2 * padding - k) // stride + 1
-    g = groups
-    # (g, C_out/g, C_in/g*K) @ (N, g, C_in/g*K, L_out) writes the
-    # (N, C_out, L_out) output directly
-    wmat = weight.data.reshape(g, c_out // g, (c_in // g) * k)
-    y = (wmat @ _windows(xb.data, k, stride, padding, g)).reshape(n, c_out, l_out)
+    b = None if bias is None else bias.data
+    y = _conv(xb.data, weight.data, b, stride, padding, groups)
 
     def backward(gy):
-        gy4 = gy.reshape(n, g, c_out // g, l_out)
-        if weight.requires_grad:
-            cols = _windows(xb.data, k, stride, padding, g)
-            gw = (gy4 @ cols.transpose(0, 1, 3, 2)).sum(axis=0)
-            weight.accumulate_grad(gw.reshape(weight.shape))
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(gy.reshape(n, c_out, l_out).sum(axis=(0, 2)))
-        if xb.requires_grad:
-            gwin = (wmat.transpose(0, 2, 1) @ gy4).reshape(n, c_in, k, l_out)
-            gxp = np.zeros((n, c_in, length + 2 * padding), xb.data.dtype)
-            span = stride * (l_out - 1) + 1
-            for kk in range(k):  # tap kk of window j reads sample j*stride + kk
-                gxp[:, :, kk : kk + span : stride] += gwin[:, :, kk]
-            xb.accumulate_grad(gxp[:, :, padding : padding + length])
+        _conv_backward(gy, xb, weight, bias, stride, padding, groups)
 
-    if bias is not None:
-        y = y + bias.data[:, None]
     out = Tensor.from_op(y, (xb, weight) + ((bias,) if bias is not None else ()), backward)
-    return out.reshape(c_out, l_out) if squeeze else out
+    return out.reshape(*y.shape[1:]) if squeeze else out
 
 
-def _standardize(x: np.ndarray, axes, eps: float):
-    """(z, mu, inv_std) of ``x`` standardised over ``axes``, keepdims shapes."""
+def _standardize(x: np.ndarray, axes, eps: float, out: np.ndarray | None = None):
+    """(z, mu, inv_std) of ``x`` standardised over ``axes``, keepdims shapes;
+    z is written to ``out`` when given, which may be ``x`` itself."""
     mu = x.mean(axis=axes, keepdims=True)
     var = x.var(axis=axes, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    return (x - mu) * inv_std, mu, inv_std
+    z = np.subtract(x, mu, out=out)
+    z *= inv_std
+    return z, mu, inv_std
 
 
 def _standardize_backward(ghat, z, inv_std, axes) -> np.ndarray:
-    """The input gradient of ``_standardize``, from ``ghat`` at its output z."""
+    """The input gradient of ``_standardize``, from ``ghat`` at its output z,
+    written over ``ghat``."""
     ghat_mean = ghat.mean(axis=axes, keepdims=True)
-    ghat_z_mean = (ghat * z).mean(axis=axes, keepdims=True)
-    return (ghat - ghat_mean - z * ghat_z_mean) * inv_std
+    gz = ghat * z
+    ghat_z_mean = gz.mean(axis=axes, keepdims=True)
+    ghat -= ghat_mean
+    ghat -= np.multiply(z, ghat_z_mean, out=gz)
+    ghat *= inv_std
+    return ghat
+
+
+def _affine_shape(shape, reduce_axes):
+    return tuple(1 if i in reduce_axes else s for i, s in enumerate(shape))
+
+
+def _affine(z: np.ndarray, shape, gamma: np.ndarray, beta: np.ndarray, reduce_axes):
+    """z viewed as ``shape``, scaled by gamma and shifted by beta, which
+    broadcast over ``reduce_axes``."""
+    affine = _affine_shape(shape, reduce_axes)
+    return z.reshape(shape) * gamma.reshape(affine) + beta.reshape(affine)
+
+
+def _affine_backward(gy, z, inv_std, axes, gamma, beta, reduce_axes, need_gx, out=None):
+    """Accumulate the gamma and beta gradients of ``_affine`` at ``gy``, and
+    return the gradient at the input of ``_standardize`` (z's view shape)
+    if ``need_gx``, else None; ``out`` may take it."""
+    if gamma.requires_grad:
+        gamma.accumulate_grad((gy * z.reshape(gy.shape)).sum(axis=reduce_axes))
+    if beta.requires_grad:
+        beta.accumulate_grad(gy.sum(axis=reduce_axes))
+    if not need_gx:
+        return None
+    affine = _affine_shape(gy.shape, reduce_axes)
+    ghat = np.multiply(gy, gamma.data.reshape(affine), out=out).reshape(z.shape)
+    return _standardize_backward(ghat, z, inv_std, axes)
 
 
 def _affine_norm(x: Tensor, view, axes, gamma: Tensor, beta: Tensor, reduce_axes, eps):
-    """``_standardize`` over ``axes`` of ``x`` viewed as ``view``, then scaled
-    by gamma and shifted by beta, which broadcast over ``reduce_axes`` of x.
-    The tape keeps mu and inv_std; backward rebuilds z from the input."""
-    affine = tuple(1 if i in reduce_axes else s for i, s in enumerate(x.shape))
+    """``_standardize`` over ``axes`` of ``x`` viewed as ``view``, then
+    ``_affine`` over ``reduce_axes`` of x.  The tape keeps mu and inv_std;
+    backward rebuilds z from the input."""
     z, mu, inv_std = _standardize(x.data.reshape(view), axes, eps)
-    y = z.reshape(x.shape) * gamma.data.reshape(affine) + beta.data.reshape(affine)
+    y = _affine(z, x.shape, gamma.data, beta.data, reduce_axes)
 
     def backward(gy):
-        if gamma.requires_grad or x.requires_grad:
-            z = (x.data.reshape(view) - mu) * inv_std
-        if gamma.requires_grad:
-            gamma.accumulate_grad((gy * z.reshape(x.shape)).sum(axis=reduce_axes))
-        if beta.requires_grad:
-            beta.accumulate_grad(gy.sum(axis=reduce_axes))
-        if x.requires_grad:
-            ghat = (gy * gamma.data.reshape(affine)).reshape(view)
-            gx = _standardize_backward(ghat, z, inv_std, axes)
+        z = (x.data.reshape(view) - mu) * inv_std
+        need_gx = x.requires_grad
+        gx = _affine_backward(gy, z, inv_std, axes, gamma, beta, reduce_axes, need_gx)
+        if gx is not None:
             x.accumulate_grad(gx.reshape(x.shape))
 
     return Tensor.from_op(y, (x, gamma, beta), backward)
+
+
+def _check_groups(c: int, groups: int) -> None:
+    if c % groups:
+        raise ShapeError(f"{c} channels not divisible by {groups} groups")
 
 
 def group_norm(
@@ -265,11 +367,63 @@ def group_norm(
     squeeze = x.ndim == 2
     xb = x.reshape(1, *x.shape) if squeeze else x
     n, c, length = xb.shape
-    if c % groups:
-        raise ShapeError(f"{c} channels not divisible by {groups} groups")
+    _check_groups(c, groups)
     view = (n, groups, c // groups, length)
     out = _affine_norm(xb, view, (2, 3), gamma, beta, (0, 2), eps)
     return out.reshape(c, length) if squeeze else out
+
+
+def conv_block(
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    stride: int,
+    groups: int,
+    p: float,
+    rng: Rng | None,
+    training: bool,
+) -> Tensor:
+    """One encoder block as one tape node: ``gelu(group_norm(dropout(conv1d(x,
+    weight, bias, stride), p, rng, training), groups, gamma, beta))``, byte
+    for byte, with the same errors.
+
+    ``x`` is (N, C_in, L).  The tape keeps the one-byte dropout mask, the
+    per-group inv_std and group norm's z, the bytes the composed backward
+    rebuilds as (x - mu) * inv_std.  Backward recomputes z * gamma + beta and
+    Phi of it block by block, and the conv windows from ``x``, which the tape
+    holds anyway.
+    """
+    if x.ndim != 3:
+        raise ShapeError(f"expected an (N, C_in, L) batch, got {x.shape}")
+    y = _conv(x.data, weight.data, bias.data, stride, 0, 1)
+    keep = _dropout_mask(y.shape, p, rng, training)
+    n, c, length = y.shape
+    _check_groups(c, groups)
+    if keep is not None:
+        _dropout(y, keep, p, out=y)
+    view, axes, reduce_axes = (n, groups, c // groups, length), (2, 3), (0, 2)
+    z, _, inv_std = _standardize(y.reshape(view), axes, 1e-5, out=y.reshape(view))
+    h = _affine(z, y.shape, gamma.data, beta.data, reduce_axes)
+    out, _ = _gelu(h, out=h)
+
+    def backward(g):
+        h = _affine(z, g.shape, gamma.data, beta.data, reduce_axes)
+        gh = _gelu_backward(g, h)
+        need_gx = x.requires_grad or weight.requires_grad or bias.requires_grad
+        # h is spent, so its buffer takes the gradient at the dropout output
+        gd = _affine_backward(
+            gh, z, inv_std, axes, gamma, beta, reduce_axes, need_gx, out=h
+        )
+        if gd is None:
+            return
+        gd = gd.reshape(g.shape)
+        if keep is not None:
+            _dropout(gd, keep, p, out=gd)
+        _conv_backward(gd, x, weight, bias, stride, 0, 1)
+
+    return Tensor.from_op(out, (x, weight, bias, gamma, beta), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -41,6 +41,10 @@ class Rng:
     def uniform(self, low=0.0, high=1.0, size=None):
         return self.gen.uniform(low, high, size)
 
+    def random(self, out):
+        """Fill the float64 array ``out`` with the values ``uniform`` draws."""
+        return self.gen.random(out=out)
+
     def normal(self, loc=0.0, scale=1.0, size=None):
         return self.gen.normal(loc, scale, size)
 

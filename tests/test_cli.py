@@ -878,6 +878,100 @@ class TestEditedInputFiles:
         assert "'utf-8' codec can't decode byte 0xff" in err
 
 
+def _edit_one_byte(data: bytes, position: int, byte: int, op: str) -> bytes:
+    """``data`` with one byte flipped (xor ``byte``, made nonzero), inserted
+    or deleted at ``position`` (taken modulo the length)."""
+    if op == "insert":
+        i = position % (len(data) + 1)
+        return data[:i] + bytes([byte]) + data[i:]
+    i = position % len(data)
+    if op == "delete":
+        return data[:i] + data[i + 1 :]
+    return data[:i] + bytes([data[i] ^ (byte or 0x80)]) + data[i + 1 :]
+
+
+BYTE_EDITS = dict(
+    # half the positions fall in the first 4 KiB: the EDF header and the
+    # checkpoint's magic, length and manifest, where parsers branch most
+    position=st.one_of(st.integers(0, 4096), st.integers(0, 2**20)),
+    byte=st.integers(0, 255),
+    op=st.sampled_from(["flip", "insert", "delete"]),
+)
+
+
+class TestEditedBinaryFiles:
+    """One edited byte of a file a stage reads back, a checkpoint or an EDF
+    record, ends the dry run that reads it in a documented exit code and
+    never in a traceback."""
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(**BYTE_EDITS)
+    @example(position=0, byte=0xFF, op="flip")
+    @example(position=10**6, byte=0x01, op="flip")
+    def test_pretrain_checkpoint_edit_ends_in_a_documented_exit_code(
+        self, workdir, tmp_path, position, byte, op
+    ):
+        out = tmp_path / "out"
+        out.mkdir(exist_ok=True)
+        blob = (workdir["out_dir"] / "pretrain.ckpt").read_bytes()
+        (out / "pretrain.ckpt").write_bytes(_edit_one_byte(blob, position, byte, op))
+        cfg = write_json(
+            tmp_path / "exp.json", experiment_dict(workdir["corpus_dir"], out)
+        )
+        assert main(["second-pretrain", "--config", str(cfg), "--dry-run"]) in (
+            0, 2, 3, 4,
+        )
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(record=st.integers(0, 5), **BYTE_EDITS)
+    @example(record=0, position=0, byte=0xFF, op="flip")
+    @example(record=0, position=10**6, byte=0, op="delete")
+    def test_edf_record_edit_ends_in_a_documented_exit_code(
+        self, workdir, tmp_path, record, position, byte, op
+    ):
+        corpus = tmp_path / "corpus"
+        if not corpus.exists():
+            shutil.copytree(workdir["corpus_dir"], corpus)
+        path = sorted(corpus.glob("*/*.edf"))[record]
+        original = (workdir["corpus_dir"] / path.relative_to(corpus)).read_bytes()
+        path.write_bytes(_edit_one_byte(original, position, byte, op))
+        cfg = write_json(
+            tmp_path / "exp.json", experiment_dict(corpus, tmp_path / "out")
+        )
+        try:
+            assert main(["pretrain", "--config", str(cfg), "--dry-run"]) in (
+                0, 2, 3, 4,
+            )
+        finally:
+            path.write_bytes(original)
+
+    def test_dry_run_refuses_a_corrupt_pretrain_checkpoint_if_one_exists(
+        self, workdir, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        blob = bytearray((workdir["out_dir"] / "pretrain.ckpt").read_bytes())
+        blob[-1] ^= 0x01
+        (out / "pretrain.ckpt").write_bytes(bytes(blob))
+        cfg = write_json(
+            tmp_path / "exp.json", experiment_dict(workdir["corpus_dir"], out)
+        )
+        assert main(["second-pretrain", "--config", str(cfg), "--dry-run"]) == 2
+        assert "sha256" in capsys.readouterr().err
+        # before pretrain has run, the dry run still plans
+        (out / "pretrain.ckpt").unlink()
+        assert main(["second-pretrain", "--config", str(cfg), "--dry-run"]) == 0
+        assert capsys.readouterr().out.startswith("would second-pretrain")
+
+
 class TestCorruptCorpus:
     @pytest.fixture(autouse=True)
     def no_filtering(self, monkeypatch):

@@ -14,13 +14,14 @@ import numpy.testing as npt
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from seizenet.errors import CheckpointError, NumericsError, ShapeError
+from seizenet.errors import CheckpointError, ConfigError, NumericsError, ShapeError
 from seizenet.nn import (
     Tensor,
     checkpoint_bytes,
     concat,
     config_hash,
     conv1d,
+    conv_block,
     dropout,
     gelu,
     grad_check,
@@ -35,7 +36,7 @@ from seizenet.nn import (
     save_checkpoint,
     softmax,
 )
-from seizenet.nn.ops import _CDF_BLOCK, _normal_cdf
+from seizenet.nn.ops import _CDF_BLOCK, _gelu
 from seizenet.model import ModelConfig, forward_classifier, init_weights
 from seizenet.preprocess import normalize
 from seizenet.rand import Rng
@@ -248,6 +249,41 @@ class TestTapeMemory:
             length //= stride
             activations += n * config.conv_channels * length
         assert tape < 29 * activations
+
+    def test_conv_block_keeps_z_and_a_one_byte_mask(self):
+        # the block node keeps z (4 bytes) and the mask (1) per element of a
+        # conv block's output, and the output (4) is the next block's input:
+        # 9 bytes, plus ~5 for the input window and the transformer at this
+        # shape.  Any other full-size float32 array kept per block adds 4
+        config = ModelConfig(
+            in_channels=4,
+            conv_blocks=6,
+            conv_channels=16,
+            transformer_layers=2,
+            heads=4,
+            model_dim=16,
+            ffn_dim=32,
+            classifier_dims=((16, 8), (8, 2)),
+            group_norm_groups=4,
+            pos_conv_kernel=5,
+            pos_conv_groups=4,
+        )
+        params = init_weights(config, "random", Rng(47).child("init"))
+        n, length = 4, 96 * 32 + 5
+        X = Rng(48).child("x").normal(size=(n, 4, length)).astype(np.float32)
+        forward_classifier(config, params, X, rng=Rng(49), training=True)
+        tracemalloc.start()
+        try:
+            probs = forward_classifier(config, params, X, rng=Rng(49), training=True)
+            tape = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert probs.requires_grad
+        activations = 0
+        for stride in config.conv_strides:
+            length //= stride
+            activations += n * config.conv_channels * length
+        assert tape < 20 * activations
 
 
 class TestConv1d:
@@ -593,6 +629,117 @@ class TestGroupNorm:
             assert have.tobytes() == want.tobytes()
 
 
+def composed_block(x, w, b, gamma, beta, stride, groups, p, rng, training):
+    """The encoder block as the four ops ran it, one tape node each."""
+    h = conv1d(x, w, b, stride=stride)
+    if training:
+        h = dropout(h, p, rng, training)
+    return gelu(group_norm(h, groups, gamma, beta))
+
+
+def block_run(op, dtype, training, p, frozen=(), n=3, c_in=5, length=41, seed=50):
+    """Run ``op`` forward and backward at a (n, c_in, length) input, a
+    (8, c_in, 3) weight, stride 2 and 4 groups; ``frozen`` names the inputs
+    (x, w, b, gamma, beta) that need no gradient."""
+    rng = Rng(seed).child("block")
+    arrays = [
+        rng.normal(loc=0.3, scale=1.5, size=(n, c_in, length)),
+        rng.normal(scale=0.4, size=(8, c_in, 3)),
+        rng.normal(scale=0.2, size=8),
+        rng.uniform(-1.5, 1.5, size=8),
+        rng.normal(size=8),
+    ]
+    names = ("x", "w", "b", "gamma", "beta")
+    inputs = [
+        Tensor(a.astype(dtype), requires_grad=name not in frozen)
+        for name, a in zip(names, arrays)
+    ]
+    out = op(*inputs, 2, 4, p, Rng(seed).child("mask"), training)
+    if out.requires_grad:
+        out.backward(rng.normal(size=out.shape).astype(dtype))
+    return out, inputs
+
+
+class TestConvBlock:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5])
+    def test_bytes_equal_the_composed_block(self, dtype, training, p):
+        out, inputs = block_run(conv_block, dtype, training, p)
+        ref, ref_inputs = block_run(composed_block, dtype, training, p)
+        assert out.data.dtype == dtype
+        assert out.data.tobytes() == ref.data.tobytes()
+        for t, r in zip(inputs, ref_inputs):
+            assert t.grad.dtype == dtype
+            assert t.grad.tobytes() == r.grad.tobytes()
+
+    @pytest.mark.parametrize(
+        "frozen", [("w", "b", "gamma", "beta"), ("x",), ("x", "gamma")]
+    )
+    def test_frozen_inputs_get_no_gradient(self, frozen):
+        out, inputs = block_run(conv_block, np.float32, True, 0.1, frozen)
+        ref, ref_inputs = block_run(composed_block, np.float32, True, 0.1, frozen)
+        assert out.data.tobytes() == ref.data.tobytes()
+        for t, r in zip(inputs, ref_inputs):
+            if t.requires_grad:
+                assert t.grad.tobytes() == r.grad.tobytes()
+            else:
+                assert t.grad is None and r.grad is None
+
+    def test_nothing_trainable_records_nothing(self):
+        names = ("x", "w", "b", "gamma", "beta")
+        out, _ = block_run(conv_block, np.float32, True, 0.1, names)
+        ref, _ = block_run(composed_block, np.float32, True, 0.1, names)
+        assert not out.requires_grad and out._parents == ()
+        assert out.data.tobytes() == ref.data.tobytes()
+
+    def test_one_call_is_one_tape_node_and_no_grad_records_nothing(self):
+        rng = Rng(51).child("block")
+        x = rand_tensor(rng, 2, 3, 20)
+        params = [rand_tensor(rng, 4, 3, 2)] + [rand_tensor(rng, 4) for _ in range(3)]
+        out = conv_block(x, *params, 2, 2, 0.5, Rng(52), True)
+        assert out._parents == (x, *params)
+        assert all(not t._parents for t in out._parents)
+        with no_grad():
+            out = conv_block(x, *params, 2, 2, 0.5, Rng(52), True)
+        assert not out.requires_grad and out._parents == ()
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_finite_difference_gradients(self, training):
+        rng = Rng(54).child("block")
+        x = rand_tensor(rng, 2, 3, 17)
+        w = rand_tensor(rng, 4, 3, 3, scale=0.5)
+        b = rand_tensor(rng, 4, scale=0.2)
+        gamma = Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True)
+        beta = rand_tensor(rng, 4)
+        weights = Tensor(rng.normal(size=(2, 4, 8)))
+
+        def loss(*inputs):
+            mask = Rng(55).child("mask")  # the same mask at every evaluation
+            return (conv_block(*inputs, 2, 2, 0.3, mask, training) * weights).sum()
+
+        report = grad_check(loss, [x, w, b, gamma, beta])
+        assert report.passed(1e-5)
+
+    def test_errors_match_the_composed_ops(self):
+        rng = Rng(56).child("block")
+        x = rand_tensor(rng, 2, 3, 20)
+        params = [rand_tensor(rng, 4, 3, 2)] + [rand_tensor(rng, 4) for _ in range(3)]
+        for bad_p in (1.0, -0.1):
+            with pytest.raises(ConfigError) as want:
+                composed_block(x, *params, 2, 2, bad_p, Rng(1), True)
+            with pytest.raises(ConfigError) as have:
+                conv_block(x, *params, 2, 2, bad_p, Rng(1), True)
+            assert str(have.value) == str(want.value)
+        with pytest.raises(ShapeError) as want:
+            composed_block(x, *params, 2, 3, 0.1, Rng(1), True)
+        with pytest.raises(ShapeError) as have:
+            conv_block(x, *params, 2, 3, 0.1, Rng(1), True)
+        assert str(have.value) == str(want.value)
+        with pytest.raises(ValueError, match="needs an rng"):
+            conv_block(x, *params, 2, 2, 0.1, None, True)
+
+
 class TestLayerNorm:
     def test_normalizes_last_axis(self):
         rng = Rng(13).child("l")
@@ -878,11 +1025,30 @@ class TestElementwiseOps:
         assert t.grad.tobytes() == (g * mask).tobytes()
         assert np.signbit(out.data[x < 0]).all()
 
+    @pytest.mark.parametrize(
+        "shape", [(0,), (3, 0, 5), (7, 11), (2, 3, _CDF_BLOCK // 3 + 1)]
+    )
+    def test_blocked_mask_is_the_one_shot_draw(self, shape):
+        drawn, one_shot = Rng(47).child("mask"), Rng(47).child("mask")
+        x = np.ones(shape, np.float32)
+        out = dropout(Tensor(x), 0.3, drawn, training=True)
+        mask = (one_shot.uniform(size=shape) >= 0.3).astype(np.float32)
+        assert out.data.tobytes() == (x * (mask / 0.7)).tobytes()
+        # the stream goes on where the one-shot draw leaves it
+        assert drawn.uniform(size=5).tobytes() == one_shot.uniform(size=5).tobytes()
+
 
 def _exact_cdf(x):
     """Phi in float64 from math.erf, one element at a time."""
     flat = [0.5 * (1.0 + math.erf(float(v) / math.sqrt(2.0))) for v in np.ravel(x)]
     return np.array(flat, dtype=np.float64).reshape(np.shape(x))
+
+
+def _normal_cdf(x):
+    """Phi as the GELU kernel keeps it for backward; the product -inf * 0
+    beside it is nan, which no assertion here reads."""
+    with np.errstate(invalid="ignore"):
+        return _gelu(x, keep_cdf=True)[1]
 
 
 def _scipy_gelu(x, g):
