@@ -27,6 +27,11 @@ Cases, each run once untimed and then ``--repeats`` times in this process:
   over 16 groups and training-mode dropout at p = 0.1; on a tree without
   ``nn.conv_block`` (``--src`` of an older checkout), the four ops it
   replaced, ``conv1d``, ``dropout``, ``group_norm`` and ``gelu``, composed;
+- ``ffn.forward`` and ``ffn.backward``: ``nn.feed_forward`` at the
+  ``cli-attn`` shape, a (16, 171, 64) float32 input that needs a gradient,
+  ffn_dim 256, biases and training-mode dropout at p = 0.1; on a tree
+  without ``nn.feed_forward``, the ops it replaced, ``linear``, ``gelu``,
+  ``linear`` and ``dropout``, composed;
 - ``<shape>.train_step``: ``zero_grads``, ``forward_classifier`` with
   dropout, ``sswce_loss``, ``backward`` and ``adam_step``, the step that
   second pretraining and every LOOCV fold take;
@@ -95,6 +100,8 @@ CONV_SHAPE, CONV_KERNEL = (32, 64, 682), 2
 # cli-attn: 170 positions plus the special token, width 64
 POS_SHAPE, POS_KERNEL, POS_GROUPS = (16, 172, 64), 25, 16
 ATTN_SHAPE, ATTN_HEADS = POS_SHAPE, 4
+# cli-attn: 170 encoded positions plus the special token
+FFN_SHAPE, FFN_DIM, FFN_P = (16, 171, 64), 256, 0.1
 
 
 def _gelu_case(sn, rng):
@@ -162,6 +169,40 @@ def _block_case(sn, rng):
         out.backward(g)
         t2 = time.perf_counter()
         return {"conv_block.forward": t1 - t0, "conv_block.backward": t2 - t1}
+
+    return run
+
+
+def _ffn_case(sn, rng):
+    d = FFN_SHAPE[-1]
+    x_data = rng.normal(size=FFN_SHAPE).astype(np.float32)
+    w_data = [
+        (rng.normal(size=(n_in, n_out)) / np.sqrt(n_in)).astype(np.float32)
+        for n_in, n_out in ((d, FFN_DIM), (FFN_DIM, d))
+    ]
+    g = rng.normal(size=FFN_SHAPE).astype(np.float32)
+    ops = sn.nn
+
+    def composed(x, w1, b1, w2, b2, p, mask, training):
+        h = ops.linear(ops.gelu(ops.linear(x, w1, b1)), w2, b2)
+        return ops.dropout(h, p, mask, training)
+
+    ffn = getattr(ops, "feed_forward", composed)
+
+    def run(_):
+        x = ops.Tensor(x_data, requires_grad=True)
+        w1, w2 = (ops.Tensor(w, requires_grad=True) for w in w_data)
+        b1, b2 = (
+            ops.Tensor(np.zeros(k, np.float32), requires_grad=True)
+            for k in (FFN_DIM, d)
+        )
+        mask = sn.rand.Rng(1).child("ffn_drop", 0)
+        t0 = time.perf_counter()
+        out = ffn(x, w1, b1, w2, b2, FFN_P, mask, True)
+        t1 = time.perf_counter()
+        out.backward(g)
+        t2 = time.perf_counter()
+        return {"ffn.forward": t1 - t0, "ffn.backward": t2 - t1}
 
     return run
 
@@ -385,7 +426,9 @@ def main(argv=None) -> int:
     pos_pad = POS_KERNEL // 2
     runs.append(_conv_case(sn, rng, "pos_conv", pos_x, pos_w, 1, pos_pad, POS_GROUPS))
     runs.append(_attn_case(sn, rng))
-    runs.append(_block_case(sn, rng))  # last, so the inputs above keep their draws
+    # these last, so the inputs above keep their draws
+    runs.append(_block_case(sn, rng))
+    runs.append(_ffn_case(sn, rng))
 
     samples: dict[str, list[float]] = {}
     with tempfile.TemporaryDirectory(prefix="seizenet-step-") as workdir:

@@ -307,6 +307,14 @@ def _require_checkpoint(path: Path, exp: Experiment):
     return params, meta["model"]
 
 
+def _check_written_checkpoint(path: Path, exp: Experiment) -> None:
+    """For a dry run: the checks the run makes on the checkpoint at ``path``
+    that it loads its weights from, if one is there already."""
+    if exp.init_policy != "random" and path.exists():
+        init = _require_checkpoint(path, exp)
+        init_weights(exp.model, exp.init_policy, Rng(exp.seed), source=init)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -371,10 +379,7 @@ def cmd_second_pretrain(args) -> int:
     recordings = load_corpus(exp.corpus_dir)
     checkpoint = exp.out_dir / "pretrain.ckpt"
     if args.dry_run:
-        # a checkpoint already written gets the checks the run makes on it
-        if exp.init_policy != "random" and checkpoint.exists():
-            init = _require_checkpoint(checkpoint, exp)
-            init_weights(exp.model, exp.init_policy, Rng(exp.seed), source=init)
+        _check_written_checkpoint(checkpoint, exp)
         subjects = sorted({rec.subject_id for rec in recordings})
         print(f"would second-pretrain for targets: {', '.join(subjects)}")
         return 0
@@ -451,6 +456,8 @@ def cmd_loocv(args) -> int:
         )
 
     if args.dry_run:
+        for subject in subjects:
+            _check_written_checkpoint(exp.out_dir / f"second_{subject}.ckpt", exp)
         print(
             json_text(
                 [

@@ -22,6 +22,7 @@ from .nn.ops import (
     conv1d,
     conv_block,
     dropout,
+    feed_forward,
     gelu,
     kaiming_uniform,
     layer_norm,
@@ -475,17 +476,16 @@ def transformer_forward(
         pre = layer_norm(
             h, params[f"encoder.{i}.ln2.gamma"], params[f"encoder.{i}.ln2.beta"]
         )
-        ff = linear(
-            gelu(
-                linear(
-                    pre, params[f"encoder.{i}.ffn.w1"], params[f"encoder.{i}.ffn.b1"]
-                )
-            ),
+        ff = feed_forward(
+            pre,
+            params[f"encoder.{i}.ffn.w1"],
+            params[f"encoder.{i}.ffn.b1"],
             params[f"encoder.{i}.ffn.w2"],
             params[f"encoder.{i}.ffn.b2"],
+            p=config.dropout_p,
+            rng=rng.child("ffn_drop", i) if training else None,
+            training=training,
         )
-        if training:
-            ff = dropout(ff, config.dropout_p, rng.child("ffn_drop", i), training)
         h = h + ff
 
     return h

@@ -12,6 +12,7 @@ from .ops import (
     conv1d,
     conv_block,
     dropout,
+    feed_forward,
     gelu,
     group_norm,
     kaiming_uniform,
@@ -32,6 +33,7 @@ __all__ = [
     "conv1d",
     "conv_block",
     "dropout",
+    "feed_forward",
     "gelu",
     "grad_check",
     "group_norm",

@@ -14,7 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ConfigError, ShapeError
 from ..rand import Rng
-from .tensor import Tensor
+from .tensor import Tensor, _unbroadcast
 
 # Python floats, so a float32 operand stays float32 (np.float64 would upcast)
 _SQRT2 = math.sqrt(2.0)
@@ -30,12 +30,19 @@ _ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
 _CDF_BLOCK = 65536  # elements per in-place pass: 256 KiB float32 scratch rows, in L2
 
 
+def _check_linear(x_shape, w_shape) -> None:
+    """The ShapeErrors of ``x @ w`` as ``linear`` and ``Tensor`` raise them."""
+    if x_shape[-1] != w_shape[0]:
+        raise ShapeError(
+            f"linear input width {x_shape[-1]} != weight rows {w_shape[0]}"
+        )
+    if len(x_shape) < 2 or len(w_shape) < 2:
+        raise ShapeError(f"matmul needs >=2 dims, got {x_shape} @ {w_shape}")
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """x @ weight + bias, with weight shaped (in_features, out_features)."""
-    if x.shape[-1] != weight.shape[0]:
-        raise ShapeError(
-            f"linear input width {x.shape[-1]} != weight rows {weight.shape[0]}"
-        )
+    _check_linear(x.shape, weight.shape)
     out = x @ weight
     if bias is not None:
         out = out + bias
@@ -424,6 +431,62 @@ def conv_block(
         _conv_backward(gd, x, weight, bias, stride, 0, 1)
 
     return Tensor.from_op(out, (x, weight, bias, gamma, beta), backward)
+
+
+def _add_bias(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b, written over ``a`` when that keeps the dtype of a + b."""
+    return np.add(a, b, out=a if a.dtype == np.result_type(a, b) else None)
+
+
+def feed_forward(
+    x: Tensor,
+    w1: Tensor,
+    b1: Tensor,
+    w2: Tensor,
+    b2: Tensor,
+    p: float,
+    rng: Rng | None,
+    training: bool,
+) -> Tensor:
+    """A transformer FFN as one tape node: ``dropout(linear(gelu(linear(x, w1,
+    b1)), w2, b2), p, rng, training)``, byte for byte, with the same errors.
+
+    The tape keeps the pre-activation ``u = x @ w1 + b1`` and the one-byte
+    dropout mask; GELU(u) is dropped once ``@ w2`` has read it.  Backward
+    recomputes GELU(u) and Phi(u) once, for w2's gradient and GELU's.
+    """
+    _check_linear(x.shape, w1.shape)
+    u = _add_bias(x.data @ w1.data, b1.data)
+    _check_linear(u.shape, w2.shape)
+    out = _add_bias(_gelu(u)[0] @ w2.data, b2.data)
+    keep = _dropout_mask(out.shape, p, rng, training)
+    if keep is not None:
+        _dropout(out, keep, p, out=out)
+
+    def backward(g):
+        # g is this node's own buffer, dropped by the tape after this rule
+        if keep is not None:
+            _dropout(g, keep, p, out=g)
+        if b2.requires_grad:
+            b2.accumulate_grad(_unbroadcast(g, b2.shape))
+        need_gu = x.requires_grad or w1.requires_grad or b1.requires_grad
+        if not (need_gu or w2.requires_grad):
+            return
+        y, cdf = _gelu(u, keep_cdf=need_gu)
+        if w2.requires_grad:
+            w2.accumulate_grad(_unbroadcast(y.mT @ g, w2.shape))
+        del y
+        if not need_gu:
+            return
+        gu = _gelu_backward(g @ w2.data.mT, u, cdf)
+        if b1.requires_grad:
+            b1.accumulate_grad(_unbroadcast(gu, b1.shape))
+        if w1.requires_grad:
+            w1.accumulate_grad(_unbroadcast(x.data.mT @ gu, w1.shape))
+        if x.requires_grad:
+            x.accumulate_grad(_unbroadcast(gu @ w1.data.mT, x.shape))
+
+    return Tensor.from_op(out, (x, w1, b1, w2, b2), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -971,6 +971,24 @@ class TestEditedBinaryFiles:
         assert main(["second-pretrain", "--config", str(cfg), "--dry-run"]) == 0
         assert capsys.readouterr().out.startswith("would second-pretrain")
 
+    def test_loocv_dry_run_refuses_a_corrupt_second_checkpoint_if_one_exists(
+        self, workdir, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        blob = bytearray((workdir["out_dir"] / "second_s00.ckpt").read_bytes())
+        blob[-1] ^= 0x01
+        (out / "second_s00.ckpt").write_bytes(bytes(blob))
+        cfg = write_json(
+            tmp_path / "exp.json", experiment_dict(workdir["corpus_dir"], out)
+        )
+        assert main(["loocv", "--config", str(cfg), "--dry-run"]) == 2
+        assert "sha256" in capsys.readouterr().err
+        # before second-pretrain has run, the dry run still plans
+        (out / "second_s00.ckpt").unlink()
+        assert main(["loocv", "--config", str(cfg), "--dry-run"]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 6
+
 
 class TestCorruptCorpus:
     @pytest.fixture(autouse=True)

@@ -23,6 +23,7 @@ from seizenet.nn import (
     conv1d,
     conv_block,
     dropout,
+    feed_forward,
     gelu,
     grad_check,
     group_norm,
@@ -37,7 +38,12 @@ from seizenet.nn import (
     softmax,
 )
 from seizenet.nn.ops import _CDF_BLOCK, _gelu
-from seizenet.model import ModelConfig, forward_classifier, init_weights
+from seizenet.model import (
+    ModelConfig,
+    forward_classifier,
+    init_weights,
+    transformer_forward,
+)
 from seizenet.preprocess import normalize
 from seizenet.rand import Rng
 from seizenet.training import _predict_probs
@@ -284,6 +290,41 @@ class TestTapeMemory:
             length //= stride
             activations += n * config.conv_channels * length
         assert tape < 20 * activations
+
+    def test_feed_forward_keeps_u_and_a_one_byte_mask(self):
+        # per position and layer, at width D and ffn_dim 4D, the FFN node
+        # keeps u (16D bytes) and the mask (D), and its output (4D) is the
+        # residual add's input; attention, the two layer norms, the residual
+        # sums and the positional conv bring the tape to ~101D at this shape.
+        # The composed FFN kept x @ w1, GELU's Phi and output (48D more) and
+        # two more output-sized arrays (8D): ~158D
+        d = 16
+        config = ModelConfig(
+            in_channels=4,
+            conv_blocks=6,
+            conv_channels=d,
+            transformer_layers=2,
+            heads=4,
+            model_dim=d,
+            ffn_dim=4 * d,
+            classifier_dims=((16, 8), (8, 2)),
+            group_norm_groups=4,
+            pos_conv_kernel=5,
+            pos_conv_groups=4,
+        )
+        params = init_weights(config, "random", Rng(47).child("init"))
+        n, s = 4, 24
+        x = Rng(48).child("x").normal(size=(n, s, d)).astype(np.float32)
+        seq = Tensor(x, requires_grad=True)
+        transformer_forward(config, params, seq, rng=Rng(49), training=True)
+        tracemalloc.start()
+        try:
+            out = transformer_forward(config, params, seq, rng=Rng(49), training=True)
+            tape = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert tape < 120 * d * n * s * config.transformer_layers
 
 
 class TestConv1d:
@@ -738,6 +779,138 @@ class TestConvBlock:
         assert str(have.value) == str(want.value)
         with pytest.raises(ValueError, match="needs an rng"):
             conv_block(x, *params, 2, 2, 0.1, None, True)
+
+
+def composed_ffn(x, w1, b1, w2, b2, p, rng, training):
+    """The transformer FFN as the ops ran it, one tape node each."""
+    h = linear(gelu(linear(x, w1, b1)), w2, b2)
+    if training:
+        h = dropout(h, p, rng, training)
+    return h
+
+
+def ffn_run(op, dtype, training, p, frozen=(), shape=(3, 7, 6), hidden=24, seed=60):
+    """Run ``op`` forward and backward at an input of ``shape``, a (d,
+    ``hidden``) and a (``hidden``, d) weight and their biases; ``frozen``
+    names the inputs (x, w1, b1, w2, b2) that need no gradient."""
+    rng = Rng(seed).child("ffn")
+    d = shape[-1]
+    arrays = [
+        rng.normal(loc=0.2, scale=1.5, size=shape),
+        rng.normal(scale=d**-0.5, size=(d, hidden)),
+        rng.normal(scale=0.3, size=hidden),
+        rng.normal(scale=hidden**-0.5, size=(hidden, d)),
+        rng.normal(scale=0.3, size=d),
+    ]
+    names = ("x", "w1", "b1", "w2", "b2")
+    inputs = [
+        Tensor(a.astype(dtype), requires_grad=name not in frozen)
+        for name, a in zip(names, arrays)
+    ]
+    out = op(*inputs, p, Rng(seed).child("mask"), training)
+    if out.requires_grad:
+        out.backward(rng.normal(size=out.shape).astype(dtype))
+    return out, inputs
+
+
+class TestFeedForward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5])
+    def test_bytes_equal_the_composed_ffn(self, dtype, training, p):
+        out, inputs = ffn_run(feed_forward, dtype, training, p)
+        ref, ref_inputs = ffn_run(composed_ffn, dtype, training, p)
+        assert out.data.dtype == dtype
+        assert out.data.tobytes() == ref.data.tobytes()
+        for t, r in zip(inputs, ref_inputs):
+            assert t.grad.dtype == dtype
+            assert t.grad.tobytes() == r.grad.tobytes()
+
+    def test_unbatched_input_bytes_equal_the_composed_ffn(self):
+        out, inputs = ffn_run(feed_forward, np.float32, True, 0.1, shape=(9, 6))
+        ref, ref_inputs = ffn_run(composed_ffn, np.float32, True, 0.1, shape=(9, 6))
+        assert out.data.tobytes() == ref.data.tobytes()
+        for t, r in zip(inputs, ref_inputs):
+            assert t.grad.tobytes() == r.grad.tobytes()
+
+    @pytest.mark.parametrize(
+        "frozen",
+        [("w1", "b1", "w2", "b2"), ("x",), ("x", "w1", "b1"), ("w2",), ("b2",)],
+    )
+    def test_frozen_inputs_get_no_gradient(self, frozen):
+        out, inputs = ffn_run(feed_forward, np.float32, True, 0.1, frozen)
+        ref, ref_inputs = ffn_run(composed_ffn, np.float32, True, 0.1, frozen)
+        assert out.data.tobytes() == ref.data.tobytes()
+        for t, r in zip(inputs, ref_inputs):
+            if t.requires_grad:
+                assert t.grad.tobytes() == r.grad.tobytes()
+            else:
+                assert t.grad is None and r.grad is None
+
+    def test_nothing_trainable_records_nothing(self):
+        names = ("x", "w1", "b1", "w2", "b2")
+        out, _ = ffn_run(feed_forward, np.float32, True, 0.1, names)
+        ref, _ = ffn_run(composed_ffn, np.float32, True, 0.1, names)
+        assert not out.requires_grad and out._parents == ()
+        assert out.data.tobytes() == ref.data.tobytes()
+
+    def test_one_call_is_one_tape_node_and_no_grad_records_nothing(self):
+        rng = Rng(61).child("ffn")
+        x = rand_tensor(rng, 2, 5, 4)
+        params = [rand_tensor(rng, 4, 8), rand_tensor(rng, 8)]
+        params += [rand_tensor(rng, 8, 4), rand_tensor(rng, 4)]
+        out = feed_forward(x, *params, 0.5, Rng(62), True)
+        assert out._parents == (x, *params)
+        assert all(not t._parents for t in out._parents)
+        with no_grad():
+            out = feed_forward(x, *params, 0.5, Rng(62), True)
+        assert not out.requires_grad and out._parents == ()
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_finite_difference_gradients(self, training):
+        rng = Rng(63).child("ffn")
+        x = rand_tensor(rng, 2, 3, 4)
+        w1 = rand_tensor(rng, 4, 6, scale=0.5)
+        b1 = rand_tensor(rng, 6, scale=0.3)
+        w2 = rand_tensor(rng, 6, 4, scale=0.4)
+        b2 = rand_tensor(rng, 4, scale=0.3)
+        weights = Tensor(rng.normal(size=(2, 3, 4)))
+
+        def loss(*inputs):
+            mask = Rng(64).child("mask")  # the same mask at every evaluation
+            return (feed_forward(*inputs, 0.3, mask, training) * weights).sum()
+
+        report = grad_check(loss, [x, w1, b1, w2, b2])
+        assert report.passed(1e-5)
+
+    def test_errors_match_the_composed_ops(self):
+        rng = Rng(65).child("ffn")
+        x = rand_tensor(rng, 2, 5, 4)
+        w1, b1 = rand_tensor(rng, 4, 8), rand_tensor(rng, 8)
+        w2, b2 = rand_tensor(rng, 8, 4), rand_tensor(rng, 4)
+        bad_inputs = [
+            (rand_tensor(rng, 2, 5, 3), w1, b1, w2, b2),  # x width != w1 rows
+            (x, w1, b1, rand_tensor(rng, 7, 4), b2),  # hidden width != w2 rows
+            (rand_tensor(rng, 4), w1, b1, w2, b2),  # 1-d input
+            (x, w1, b1, rand_tensor(rng, 8), b2),  # 1-d w2
+        ]
+        for inputs in bad_inputs:
+            with pytest.raises(ShapeError) as want:
+                composed_ffn(*inputs, 0.1, Rng(1), True)
+            with pytest.raises(ShapeError) as have:
+                feed_forward(*inputs, 0.1, Rng(1), True)
+            assert str(have.value) == str(want.value)
+        for bad_p in (1.0, -0.1):
+            with pytest.raises(ConfigError) as want:
+                composed_ffn(x, w1, b1, w2, b2, bad_p, Rng(1), True)
+            with pytest.raises(ConfigError) as have:
+                feed_forward(x, w1, b1, w2, b2, bad_p, Rng(1), True)
+            assert str(have.value) == str(want.value)
+        with pytest.raises(ValueError) as want:
+            composed_ffn(x, w1, b1, w2, b2, 0.1, None, True)
+        with pytest.raises(ValueError) as have:
+            feed_forward(x, w1, b1, w2, b2, 0.1, None, True)
+        assert str(have.value) == str(want.value)
 
 
 class TestLayerNorm:
