@@ -16,22 +16,18 @@ Cases, each run once untimed and then ``--repeats`` times in this process:
   (64, 64, 2) weight, a bias and stride 2;
 - ``pos_conv.forward`` and ``pos_conv.backward``: ``nn.conv1d`` as the
   positional conv of ``cli-attn`` runs it, on the channels-first view of a
-  (16, 172, 64) float32 sequence batch, with a (64, 4, 25) weight, a bias,
+  (16, 171, 64) float32 sequence batch, with a (64, 4, 25) weight, a bias,
   stride 1, padding 12 and 16 groups;
 - ``attn.forward`` and ``attn.backward``: one ``nn.multi_head_attention``
-  at the ``cli-attn`` shape, a (16, 172, 64) float32 input and four
+  at the ``cli-attn`` shape, a (16, 171, 64) float32 input and four
   (64, 64) weights, all needing a gradient, with 4 heads;
 - ``conv_block.forward`` and ``conv_block.backward``: ``nn.conv_block`` at
   conv block 0 of ``cli-conv``, a (32, 20, 2048) float32 window batch that
   needs no gradient, a (64, 20, 3) weight, a bias, stride 3, group norm
-  over 16 groups and training-mode dropout at p = 0.1; on a tree without
-  ``nn.conv_block`` (``--src`` of an older checkout), the four ops it
-  replaced, ``conv1d``, ``dropout``, ``group_norm`` and ``gelu``, composed;
+  over 16 groups and training-mode dropout at p = 0.1;
 - ``ffn.forward`` and ``ffn.backward``: ``nn.feed_forward`` at the
   ``cli-attn`` shape, a (16, 171, 64) float32 input that needs a gradient,
-  ffn_dim 256, biases and training-mode dropout at p = 0.1; on a tree
-  without ``nn.feed_forward``, the ops it replaced, ``linear``, ``gelu``,
-  ``linear`` and ``dropout``, composed;
+  ffn_dim 256, biases and training-mode dropout at p = 0.1;
 - ``<shape>.train_step``: ``zero_grads``, ``forward_classifier`` with
   dropout, ``sswce_loss``, ``backward`` and ``adam_step``, the step that
   second pretraining and every LOOCV fold take;
@@ -97,11 +93,11 @@ GELU_SHAPE = (32, 64, 683)
 # cli-conv block 0: 20 channels x 2048 samples in, 64 out, kernel 3, stride 3
 BLOCK_SHAPE, BLOCK_WEIGHT, BLOCK_GROUPS, BLOCK_P = (32, 20, 2048), (64, 20, 3), 16, 0.1
 CONV_SHAPE, CONV_KERNEL = (32, 64, 682), 2
-# cli-attn: 170 positions plus the special token, width 64
-POS_SHAPE, POS_KERNEL, POS_GROUPS = (16, 172, 64), 25, 16
-ATTN_SHAPE, ATTN_HEADS = POS_SHAPE, 4
-# cli-attn: 170 encoded positions plus the special token
-FFN_SHAPE, FFN_DIM, FFN_P = (16, 171, 64), 256, 0.1
+# cli-attn: batch 16, 170 encoded positions plus the special token, width 64
+SEQ_SHAPE = (16, 171, 64)
+POS_KERNEL, POS_GROUPS = 25, 16
+ATTN_HEADS = 4
+FFN_DIM, FFN_P = 256, 0.1
 
 
 def _gelu_case(sn, rng):
@@ -149,12 +145,6 @@ def _block_case(sn, rng):
     g = rng.normal(size=(BLOCK_SHAPE[0], c_out, l_out)).astype(np.float32)
     ops = sn.nn
 
-    def composed(x, w, b, gamma, beta, stride, groups, p, mask, training):
-        h = ops.dropout(ops.conv1d(x, w, b, stride=stride), p, mask, training)
-        return ops.gelu(ops.group_norm(h, groups, gamma, beta))
-
-    block = getattr(ops, "conv_block", composed)
-
     def run(_):
         x = ops.Tensor(x_data)
         w = ops.Tensor(w_data, requires_grad=True)
@@ -164,7 +154,7 @@ def _block_case(sn, rng):
         )
         mask = sn.rand.Rng(1).child("conv_drop", 0)
         t0 = time.perf_counter()
-        out = block(x, w, b, gamma, beta, k, BLOCK_GROUPS, BLOCK_P, mask, True)
+        out = ops.conv_block(x, w, b, gamma, beta, k, BLOCK_GROUPS, BLOCK_P, mask, True)
         t1 = time.perf_counter()
         out.backward(g)
         t2 = time.perf_counter()
@@ -174,20 +164,14 @@ def _block_case(sn, rng):
 
 
 def _ffn_case(sn, rng):
-    d = FFN_SHAPE[-1]
-    x_data = rng.normal(size=FFN_SHAPE).astype(np.float32)
+    d = SEQ_SHAPE[-1]
+    x_data = rng.normal(size=SEQ_SHAPE).astype(np.float32)
     w_data = [
         (rng.normal(size=(n_in, n_out)) / np.sqrt(n_in)).astype(np.float32)
         for n_in, n_out in ((d, FFN_DIM), (FFN_DIM, d))
     ]
-    g = rng.normal(size=FFN_SHAPE).astype(np.float32)
+    g = rng.normal(size=SEQ_SHAPE).astype(np.float32)
     ops = sn.nn
-
-    def composed(x, w1, b1, w2, b2, p, mask, training):
-        h = ops.linear(ops.gelu(ops.linear(x, w1, b1)), w2, b2)
-        return ops.dropout(h, p, mask, training)
-
-    ffn = getattr(ops, "feed_forward", composed)
 
     def run(_):
         x = ops.Tensor(x_data, requires_grad=True)
@@ -198,7 +182,7 @@ def _ffn_case(sn, rng):
         )
         mask = sn.rand.Rng(1).child("ffn_drop", 0)
         t0 = time.perf_counter()
-        out = ffn(x, w1, b1, w2, b2, FFN_P, mask, True)
+        out = ops.feed_forward(x, w1, b1, w2, b2, FFN_P, mask, True)
         t1 = time.perf_counter()
         out.backward(g)
         t2 = time.perf_counter()
@@ -208,13 +192,13 @@ def _ffn_case(sn, rng):
 
 
 def _attn_case(sn, rng):
-    d = ATTN_SHAPE[-1]
-    x_data = rng.normal(size=ATTN_SHAPE).astype(np.float32)
+    d = SEQ_SHAPE[-1]
+    x_data = rng.normal(size=SEQ_SHAPE).astype(np.float32)
     # std 1/sqrt(d), so the scores stay in the softmax's working range
     w_data = [
         (rng.normal(size=(d, d)) / np.sqrt(d)).astype(np.float32) for _ in range(4)
     ]
-    g = rng.normal(size=ATTN_SHAPE).astype(np.float32)
+    g = rng.normal(size=SEQ_SHAPE).astype(np.float32)
 
     def run(_):
         x = sn.nn.Tensor(x_data, requires_grad=True)
@@ -420,8 +404,8 @@ def main(argv=None) -> int:
         model_runs, tape_steps[name] = _model_cases(sn, rng, name)
         runs.extend(model_runs)
     # the model feeds the positional conv a transposed view, not a copy
-    pos_x = rng.normal(size=POS_SHAPE).astype(np.float32).transpose(0, 2, 1)
-    d = POS_SHAPE[2]
+    pos_x = rng.normal(size=SEQ_SHAPE).astype(np.float32).transpose(0, 2, 1)
+    d = SEQ_SHAPE[2]
     pos_w = (d, d // POS_GROUPS, POS_KERNEL)
     pos_pad = POS_KERNEL // 2
     runs.append(_conv_case(sn, rng, "pos_conv", pos_x, pos_w, 1, pos_pad, POS_GROUPS))

@@ -47,7 +47,7 @@ from .objectives import ContrastiveSpec, SswceSpec
 from .optim import OptimSpec, ScheduleSpec
 from .preprocess import PreprocessSpec
 from .rand import Rng
-from .synthgen import CorpusSpec, generate_corpus
+from .synthgen import CorpusSpec, generate_corpus, pack_corpus
 from .training import (
     FoldPlan,
     SamplerSpec,
@@ -268,7 +268,7 @@ def _stage_header(exp: Experiment, stage: str) -> dict:
 
 def _save_stage(exp: Experiment, name: str, stage: str, result) -> None:
     """Write ``<name>.ckpt``, tagged with the model and config hash that
-    ``_require_checkpoint`` checks, and ``<name>_losses.csv``."""
+    ``_stage_source`` checks, and ``<name>_losses.csv``."""
     meta = {"model": asdict(exp.model), "experiment_hash": exp.hash, "stage": stage}
     save_checkpoint(exp.out_dir / f"{name}.ckpt", result.params, meta)
     _write_atomic(exp.out_dir / f"{name}_losses.csv", _losses_csv(result))
@@ -295,7 +295,17 @@ def _prepare(exp: Experiment, recordings):
     )
 
 
-def _require_checkpoint(path: Path, exp: Experiment):
+def _stage_source(exp: Experiment, name: str, dry_run: bool):
+    """The init source a stage starts from: ``<name>.ckpt``, as
+    ``_save_stage`` wrote it, checked by the transfer the stage makes.
+
+    None under random init, and in a dry run before the earlier stage has
+    written the checkpoint.  ConfigError for a checkpoint that is missing,
+    corrupt, written under another configuration or that does not transfer.
+    """
+    path = exp.out_dir / f"{name}.ckpt"
+    if exp.init_policy == "random" or (dry_run and not path.exists()):
+        return None
     if not path.exists():
         raise ConfigError(f"checkpoint {path} not found; run the earlier stage")
     params, meta = load_checkpoint(path)
@@ -304,15 +314,9 @@ def _require_checkpoint(path: Path, exp: Experiment):
             f"checkpoint {path} was produced under a different configuration; "
             f"refusing to resume"
         )
-    return params, meta["model"]
-
-
-def _check_written_checkpoint(path: Path, exp: Experiment) -> None:
-    """For a dry run: the checks the run makes on the checkpoint at ``path``
-    that it loads its weights from, if one is there already."""
-    if exp.init_policy != "random" and path.exists():
-        init = _require_checkpoint(path, exp)
-        init_weights(exp.model, exp.init_policy, Rng(exp.seed), source=init)
+    init = params, meta["model"]
+    init_weights(exp.model, exp.init_policy, Rng(exp.seed), source=init)
+    return init
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +332,9 @@ def cmd_synth(args) -> int:
         spec_dict["seed"] = args.seed
     spec = _build_section(CorpusSpec, spec_dict, "corpus spec")
     out = Path(args.out or "corpus")
+    indices = pack_corpus(spec)
     if args.dry_run:
-        total = spec.subjects * spec.records_per_subject
-        print(f"would write {total} records to {out} (seed {spec.seed})")
+        print(f"would write {len(indices)} records to {out} (seed {spec.seed})")
         return 0
     manifest = generate_corpus(spec, out)
     print(
@@ -377,18 +381,13 @@ def cmd_pretrain(args) -> int:
 def cmd_second_pretrain(args) -> int:
     exp = load_experiment(args.config, args.seed, args.out)
     recordings = load_corpus(exp.corpus_dir)
-    checkpoint = exp.out_dir / "pretrain.ckpt"
+    subjects = sorted({rec.subject_id for rec in recordings})
+    init = _stage_source(exp, "pretrain", args.dry_run)
     if args.dry_run:
-        _check_written_checkpoint(checkpoint, exp)
-        subjects = sorted({rec.subject_id for rec in recordings})
         print(f"would second-pretrain for targets: {', '.join(subjects)}")
         return 0
     dataset = _prepare(exp, recordings)
     del recordings
-    subjects = sorted(dataset.subject_ids())
-    init = None
-    if exp.init_policy != "random":
-        init = _require_checkpoint(checkpoint, exp)
     summaries = {}
     for subject in subjects:
         result = run_second_pretraining(
@@ -454,10 +453,12 @@ def cmd_loocv(args) -> int:
         plans.extend(
             plan_loocv(subject, eligible, Rng(exp.seed).child("fold", subject))
         )
+    init_by_subject = {
+        subject: _stage_source(exp, f"second_{subject}", args.dry_run)
+        for subject in subjects
+    }
 
     if args.dry_run:
-        for subject in subjects:
-            _check_written_checkpoint(exp.out_dir / f"second_{subject}.ckpt", exp)
         print(
             json_text(
                 [
@@ -476,14 +477,6 @@ def cmd_loocv(args) -> int:
 
     dataset = _prepare(exp, recordings)
     del recordings  # the float64 corpus, before the per-subject copies
-    init_by_subject: dict[str, tuple | None] = {}
-    for subject in subjects:
-        if exp.init_policy == "random":
-            init_by_subject[subject] = None
-        else:
-            init_by_subject[subject] = _require_checkpoint(
-                exp.out_dir / f"second_{subject}.ckpt", exp
-            )
 
     # subsets are copies: build one per subject, shared by its folds, and
     # drop the full dataset before any fold trains

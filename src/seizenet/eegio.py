@@ -87,10 +87,6 @@ class Recording:
     def duration_s(self) -> float:
         return self.n_samples / self.sample_rate_hz
 
-    def with_seizures(self, seizures: list[SeizureInterval]) -> "Recording":
-        """Return a copy carrying ``seizures`` (validated against duration)."""
-        return replace(self, seizures=sorted(seizures, key=lambda s: s.start_s))
-
 
 @dataclass(frozen=True)
 class Window:
@@ -518,7 +514,6 @@ def load_corpus(corpus_dir: str | Path) -> list[Recording]:
     recordings = []
     for subject_id, record_id, path in entries:
         rec = read_edf_file(path)
-        rec = replace(rec, subject_id=subject_id, record_id=record_id)
         seizures = annotations.get(record_id, [])
         for iv in seizures:
             if iv.end_s > rec.duration_s + 1e-9:
@@ -526,8 +521,10 @@ def load_corpus(corpus_dir: str | Path) -> list[Recording]:
                     f"record {record_id!r}: seizure [{iv.start_s}, {iv.end_s}) "
                     f"ends after the record's {rec.duration_s} s"
                 )
-        rec = rec.with_seizures(seizures)
-        recordings.append(rec)
+        seizures = sorted(seizures, key=lambda s: s.start_s)
+        recordings.append(
+            replace(rec, subject_id=subject_id, record_id=record_id, seizures=seizures)
+        )
     return recordings
 
 

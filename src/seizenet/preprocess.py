@@ -231,7 +231,7 @@ class PreprocessSpec:
             )
 
 
-def normalize(x: np.ndarray, method: str = "minmax") -> np.ndarray:
+def normalize(x: np.ndarray, method: str) -> np.ndarray:
     """Normalize per channel along the last axis.
 
     ``minmax`` maps to [0, 1] via (x - min) / (max - min + 1e-8); ``meanstd``

@@ -182,22 +182,28 @@ def generate_recording(
     )
 
 
-def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict:
-    """Write `subject/record.edf` files, annotations.csv, and manifest.json.
-
-    Returns the manifest as written.  Regenerating with an equal spec reproduces
-    every byte.  Every record's seizures are packed before anything is
-    written, so a spec that cannot be packed leaves no directory behind, and
-    each file is written atomically.
-    """
-    root = Path(out_dir)
+def pack_corpus(spec: CorpusSpec) -> list[tuple[int, int]]:
+    """The (subject, record) indices of the corpus, each record's seizures
+    packed once to check that they fit: SpecError if one does not."""
     indices = [(s, r) for s in range(spec.subjects)
                for r in range(spec.records_per_subject)]
     for s, r in indices:
         _pack_intervals(spec, s, r)
+    return indices
+
+
+def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> dict:
+    """Write `subject/record.edf` files, annotations.csv, and manifest.json.
+
+    Returns the manifest as written.  Regenerating with an equal spec reproduces
+    every byte.  ``pack_corpus`` runs before anything is written, so a spec
+    that cannot be packed leaves no directory behind, and each file is
+    written atomically.
+    """
+    root = Path(out_dir)
     records = []
     annotation_lines = []
-    for s, r in indices:
+    for s, r in pack_corpus(spec):
         rec = generate_recording(spec, s, r)
         rel_path = f"{rec.subject_id}/{rec.record_id}.edf"
         write_edf_file(root / rel_path, rec)

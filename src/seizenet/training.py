@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -179,6 +180,18 @@ def _check_finite(value: float, stage: str, epoch: int) -> None:
         raise TrainError(f"{stage} loss diverged to {value}", epoch=epoch)
 
 
+def _holdout(
+    rows: np.ndarray, train_spec: TrainSpec, rng: Rng
+) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` shuffled and split into (validation, training): at least one
+    validation row and about ``validation_fraction`` of them."""
+    order = rows[rng.child("split").permutation(rows.size)]
+    n_val = max(1, int(round(train_spec.validation_fraction * rows.size)))
+    if n_val >= rows.size:
+        raise ConfigError("validation split consumed every window")
+    return order[:n_val], order[n_val:]
+
+
 def _fit(
     config: ModelConfig,
     params: dict[str, Tensor],
@@ -233,17 +246,14 @@ def _fit(
 
     state = AdamState()
     stopper = PlateauEarlyStopper(schedule_spec, optim_spec.lr)
-    best, best_val = None, np.inf
     for epoch in range(train_spec.max_epochs):
         erng = rng.child("epoch", epoch)
         if index_stream is None:
             order = erng.child("order").permutation(n)
             batches = [order[start : start + size] for start in range(0, n, size)]
         else:
-            batches = [
-                np.array([next(index_stream) for _ in range(size)])
-                for _ in range(steps_per_epoch)
-            ]
+            draws = islice(index_stream, steps_per_epoch * size)
+            batches = np.fromiter(draws, np.int64).reshape(steps_per_epoch, size)
         step_losses = []
         for step, idx in enumerate(batches):
             loss = step_loss(
@@ -261,19 +271,18 @@ def _fit(
         _check_finite(val_loss, f"{stage} validation", epoch)
         result.train_losses.append(float(np.mean(step_losses)))
         result.val_losses.append(val_loss)
-        if val_loss < best_val:
-            best_val = val_loss
-            result.best_epoch = epoch
+        decision = stopper.observe(val_loss)
+        if stopper.best_epoch == stopper.epoch:
             best = _snapshot(params)
         if epoch_callback is not None:
             epoch_callback(epoch, params)
-        if stopper.observe(val_loss) == "stop":
+        if decision == "stop":
             result.stopped_early = True
             break
 
-    if best is not None:
-        for name, data in best.items():
-            params[name].data[...] = data
+    for name, data in best.items():
+        params[name].data[...] = data
+    result.best_epoch = stopper.best_epoch - 1
     result.final_lr = stopper.lr
     return result
 
@@ -338,15 +347,9 @@ def run_pretraining(
 ) -> TrainResult:
     """Masked contrastive training with a held-out window validation split."""
     X = np.asarray(windows)
-    n = len(X)
-    check_pretraining(n, mask_spec)
+    check_pretraining(len(X), mask_spec)
 
-    order = rng.child("split").permutation(n)
-    n_val = max(1, int(round(train_spec.validation_fraction * n)))
-    val_idx, train_idx = order[:n_val], order[n_val:]
-    if train_idx.size == 0:
-        raise ConfigError("validation split consumed every window")
-
+    val_idx, train_idx = _holdout(np.arange(len(X)), train_spec, rng)
     params = init_weights(config, "random", rng.child("init"))
     gaps = []
 
@@ -461,12 +464,9 @@ def run_second_pretraining(
     if np.any(dataset.subject[pool] == target_subject):
         raise ProtocolError("target windows leaked into second pretraining")
 
-    n = pool.size
-    if n < 2:
+    if pool.size < 2:
         raise ProtocolError("second pretraining needs at least 2 windows")
-    order = pool[rng.child("split").permutation(n)]
-    n_val = max(1, int(round(train_spec.validation_fraction * n)))
-    val_rows, train_rows = order[:n_val], order[n_val:]
+    val_rows, train_rows = _holdout(pool, train_spec, rng)
 
     policy = init_policy if init is not None else "random"
     params = init_weights(config, policy, rng.child("init"), source=init)

@@ -150,6 +150,7 @@ class TestSynth:
             ({"record_s": True}, "take numbers, not booleans"),
             ({"subjects": "2"}, "corpus spec.subjects must be an integer"),
             ({"seizure_len_s": [True, 10.0]}, "take numbers, not booleans"),
+            ({"seizures_per_record": 5}, "cannot pack 5 seizures"),
         ],
     )
     def test_bad_spec_is_config_error(self, tmp_path, capsys, overrides, message):
@@ -988,6 +989,30 @@ class TestEditedBinaryFiles:
         (out / "second_s00.ckpt").unlink()
         assert main(["loocv", "--config", str(cfg), "--dry-run"]) == 0
         assert len(json.loads(capsys.readouterr().out)) == 6
+
+    @pytest.mark.parametrize(
+        "stage, checkpoint",
+        [("second-pretrain", "pretrain.ckpt"), ("loocv", "second_s01.ckpt")],
+    )
+    def test_run_refuses_a_corrupt_start_checkpoint_before_preparing(
+        self, workdir, tmp_path, capsys, monkeypatch, stage, checkpoint
+    ):
+        def explode(*args, **kwargs):
+            raise RuntimeError("a record was prepared before the checkpoint checks")
+
+        monkeypatch.setattr("seizenet.cli.prepare_recordings", explode)
+        out = tmp_path / "out"
+        out.mkdir()
+        for path in workdir["out_dir"].glob("*.ckpt"):
+            shutil.copy(path, out / path.name)
+        blob = bytearray((out / checkpoint).read_bytes())
+        blob[-1] ^= 0x01
+        (out / checkpoint).write_bytes(bytes(blob))
+        cfg = write_json(
+            tmp_path / "exp.json", experiment_dict(workdir["corpus_dir"], out)
+        )
+        assert main([stage, "--config", str(cfg)]) == 2
+        assert "sha256" in capsys.readouterr().err
 
 
 class TestCorruptCorpus:
