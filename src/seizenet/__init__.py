@@ -7,6 +7,12 @@ training protocol, event-based evaluation, a deterministic synthetic
 corpus generator, and a command-line front end.
 """
 
+import os
+
+# OpenBLAS picks GEMM kernels by thread count, so result bytes would depend
+# on it; this pin takes effect only when numpy is not yet imported
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .eegio import (
     Recording,
     SeizureInterval,

@@ -150,10 +150,9 @@ def _build_section(cls, section, name: str, prefix: str | None = None):
     Unknown keys are refused. A dataclass field, or an ``X | None`` field
     given an object, is a nested section. Integer fields go through
     ``_integral``, so 4.0 loads and hashes as 4. Once ``cls`` has checked
-    its own values, or failed on them with a TypeError, a float field
-    refuses all but numbers, booleans and strings too; ints stay ints, so
-    their hashes do not move. A field is named ``<prefix><key>``,
-    ``prefix`` being ``<name>.`` unless given.
+    its own values, or failed on them, a float field refuses all but numbers
+    within float range; ints stay ints, so their hashes do not move. A field
+    is named ``<prefix><key>``, ``prefix`` being ``<name>.`` unless given.
     """
     prefix = f"{name}." if prefix is None else prefix
     if not isinstance(section, dict):
@@ -174,7 +173,7 @@ def _build_section(cls, section, name: str, prefix: str | None = None):
     numbers = [key for key in values if hints[key] in _FLOATS]
     try:
         spec = cls(**values)
-    except TypeError as err:  # a check that compared a string, say
+    except (TypeError, OverflowError) as err:  # a string compared, a huge int
         _check_numbers({key: values[key] for key in numbers}, prefix)
         raise ConfigError(f"bad {name!r} section: {err}") from None
     _check_numbers({key: getattr(spec, key) for key in numbers}, prefix)
@@ -182,15 +181,17 @@ def _build_section(cls, section, name: str, prefix: str | None = None):
 
 
 def _check_numbers(values: dict, prefix: str) -> None:
-    """ConfigError unless each value is a number or a list of numbers."""
+    """ConfigError unless each value is a float, or an int that converts to
+    one, or a list of these."""
     for key, value in values.items():
         if not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
+            isinstance(v, float)
+            or type(v) is int and abs(v) <= sys.float_info.max  # not a bool
             for v in (value if isinstance(value, (list, tuple)) else (value,))
         ):
             raise ConfigError(
                 f"{prefix}{key} must be a number, got {value!r}: float "
-                f"fields take numbers, not booleans or strings"
+                f"fields take numbers, not booleans or strings, in float range"
             )
 
 

@@ -129,6 +129,8 @@ class ModelConfig:
             raise ConfigError("pos_conv_kernel must be odd")
         dims = tuple(tuple(pair) for pair in self.classifier_dims)
         object.__setattr__(self, "classifier_dims", dims)
+        if any(len(pair) != 2 for pair in dims):
+            raise ConfigError(f"classifier_dims must be [in, out] pairs, got {dims}")
         if dims[0][0] != self.model_dim:
             raise ConfigError(
                 f"classifier input {dims[0][0]} must equal model_dim "

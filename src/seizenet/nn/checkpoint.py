@@ -1,13 +1,15 @@
 """Parameter checkpoint container.
 
-Layout: 8-byte magic, little-endian uint64 manifest length, UTF-8 JSON
-manifest (tensor names, shapes, byte offsets, config, config hash, and
-the sha256 of the payload), then the arrays concatenated as little-endian
-float32.  Arrays are stored in sorted name order so identical parameter
-sets serialize byte-identically.  Loading checks both hashes and that the
-tensors tile the payload, and returns float32 arrays, so a float32 model
-round-trips exactly.  The module also holds the file primitives every
-stage shares: the atomic write and the JSON reader and writer.
+Layout: 8-byte magic, the 32-byte sha256 of every byte after it,
+little-endian uint64 manifest length, UTF-8 JSON manifest
+``{"config": ..., "tensors": [[name, shape], ...]}``, then the arrays
+concatenated as little-endian float32.  Tensors are stored in sorted name
+order so identical parameter sets serialize byte-identically.  Loading
+checks the magic, then the digest, so every byte is verified, then that
+the names strictly increase and the shapes tile the payload, and returns
+float32 arrays, so a float32 model round-trips exactly.  The module also
+holds the file primitives every stage shares: the atomic write and the
+JSON reader and writer.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 from ..errors import CheckpointError, ConfigError
 from .tensor import Tensor
 
-MAGIC = b"SZCK0001"
+MAGIC = b"SZCK0002"
+HEADER = len(MAGIC) + 32  # the magic and the sha256 of every byte after it
 
 
 def config_hash(config: dict) -> str:
@@ -38,22 +41,13 @@ def checkpoint_bytes(params: dict[str, Tensor | np.ndarray], config: dict) -> by
     for name in sorted(params):
         value = params[name]
         arr = np.asarray(value.data if isinstance(value, Tensor) else value)
-        raw = arr.astype("<f4").tobytes()
-        tensors.append(
-            {"name": name, "shape": list(arr.shape), "offset": len(payload)}
-        )
-        payload += raw
+        tensors.append([name, list(arr.shape)])
+        payload += arr.astype("<f4").tobytes()
     manifest = json.dumps(
-        {
-            "config": config,
-            "config_hash": config_hash(config),
-            "payload_sha256": hashlib.sha256(payload).hexdigest(),
-            "tensors": tensors,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+        {"config": config, "tensors": tensors}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    return MAGIC + struct.pack("<Q", len(manifest)) + manifest + bytes(payload)
+    body = struct.pack("<Q", len(manifest)) + manifest + bytes(payload)
+    return MAGIC + hashlib.sha256(body).digest() + body
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
@@ -91,17 +85,18 @@ def save_checkpoint(
 
 def parse_checkpoint(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
     """Decode checkpoint bytes into (float32 arrays by name, config)."""
-    if len(data) < len(MAGIC) + 8:
+    if len(data) < HEADER + 8:
         raise CheckpointError(f"checkpoint truncated at {len(data)} bytes")
     if data[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"bad magic {data[:len(MAGIC)]!r}")
-    (manifest_len,) = struct.unpack_from("<Q", data, len(MAGIC))
-    manifest_start = len(MAGIC) + 8
-    payload_start = manifest_start + manifest_len
-    if payload_start > len(data):
+    body = memoryview(data)[HEADER:]
+    if hashlib.sha256(body).digest() != data[len(MAGIC) : HEADER]:
+        raise CheckpointError("checkpoint sha256 does not match its bytes")
+    (manifest_len,) = struct.unpack_from("<Q", body)
+    if 8 + manifest_len > len(body):
         raise CheckpointError("manifest extends past end of file")
     try:
-        manifest = json.loads(data[manifest_start:payload_start])
+        manifest = json.loads(bytes(body[8 : 8 + manifest_len]))
     except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
         raise CheckpointError(f"manifest is not valid JSON: {exc}") from None
     if not (
@@ -111,46 +106,31 @@ def parse_checkpoint(data: bytes) -> tuple[dict[str, np.ndarray], dict]:
     ):
         raise CheckpointError("manifest needs a 'config' object and a 'tensors' list")
 
-    config = manifest["config"]
-    if manifest.get("config_hash") != config_hash(config):
-        raise CheckpointError("config hash does not match stored config")
-
-    payload = data[payload_start:]
-    if manifest.get("payload_sha256") != hashlib.sha256(payload).hexdigest():
-        raise CheckpointError("payload sha256 does not match the manifest")
+    payload = body[8 + manifest_len :]
     params: dict[str, np.ndarray] = {}
-    end = 0  # the tensors tile the payload in manifest order, as written
+    end = 0  # the tensors tile the payload in name order, as written
     for entry in manifest["tensors"]:
-        name, shape, offset = _tensor_entry(entry)
-        if offset != end:
-            raise CheckpointError(f"tensor {name!r} starts at byte {offset}, not {end}")
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and isinstance(entry[0], str)
+            and isinstance(entry[1], list)
+            and all(type(v) is int and v >= 0 for v in entry[1])  # not a bool
+        ):
+            raise CheckpointError(f"bad tensor entry in manifest: {entry!r}")
+        name, shape = entry
+        if params and name <= next(reversed(params)):
+            raise CheckpointError(f"tensor {name!r} breaks the sorted name order")
         count = math.prod(shape)  # a Python int: no overflow
-        end = offset + 4 * count
-        if end > len(payload):
+        if end + 4 * count > len(payload):
             raise CheckpointError(f"tensor {name!r} extends past end of payload")
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
+        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=end)
         # astype copies: the arrays are writable and do not pin ``data``
         params[name] = arr.reshape(shape).astype(np.float32)
+        end += 4 * count
     if end != len(payload):
         raise CheckpointError(f"tensors end at byte {end}, payload at {len(payload)}")
-    return params, config
-
-
-def _tensor_entry(entry) -> tuple[str, list[int], int]:
-    """(name, shape, offset) of one manifest tensor entry, else CheckpointError."""
-
-    def size(v):
-        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-    if not (
-        isinstance(entry, dict)
-        and isinstance(entry.get("name"), str)
-        and isinstance(entry.get("shape"), list)
-        and all(size(v) for v in entry["shape"])
-        and size(entry.get("offset"))
-    ):
-        raise CheckpointError(f"bad tensor entry in manifest: {entry!r}")
-    return entry["name"], entry["shape"], entry["offset"]
+    return params, manifest["config"]
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:

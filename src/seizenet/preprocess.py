@@ -27,8 +27,11 @@ class FilterSpec:
     sample_rate_hz: int = 256
 
     def __post_init__(self):
-        if self.order != int(self.order) or self.order < 1:
-            raise DesignError(f"filter order must be an integer >= 1, got {self.order}")
+        # past 511, 4.0**order in the design's gain overflows a float
+        if self.order != int(self.order) or not 1 <= self.order <= 511:
+            raise DesignError(
+                f"filter order must be an integer in [1, 511], got {self.order}"
+            )
         nyquist = self.sample_rate_hz / 2.0
         if not (0.0 < self.low_hz < self.high_hz < nyquist):
             raise DesignError(
@@ -52,7 +55,7 @@ def design_butterworth_bandpass(spec: FilterSpec = FilterSpec()) -> np.ndarray:
     n = spec.order
     edges = np.array([spec.low_hz, spec.high_hz], dtype=np.float64)
     warped = 4.0 * np.tan(np.pi * (edges / (spec.sample_rate_hz / 2.0)) / 2.0)
-    bw = float(warped[1] - warped[0])
+    bw = warped[1] - warped[0]  # a numpy float: bw**n overflows to inf
     wo = float(np.sqrt(warped[0] * warped[1]))
     # the analog low-pass prototype's poles, moved to the band around wo
     m = np.arange(-n + 1, n, 2, dtype=np.float64)
@@ -61,7 +64,10 @@ def design_butterworth_bandpass(spec: FilterSpec = FilterSpec()) -> np.ndarray:
     poles = np.concatenate((poles + shift, poles - shift))
     # bilinear transform at fs = 2: the n zeros at s = 0 go to z = 1 and
     # the n at infinity to z = -1
-    gain = bw**n * np.real(4.0**n / np.prod(4.0 - poles))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = bw**n * np.real(4.0**n / np.prod(4.0 - poles))
+    if not 0 < gain < np.inf:
+        raise DesignError(f"order {n} is too high: the filter gain is {gain}")
     poles = (4.0 + poles) / (4.0 - poles)
     zeros = np.repeat([-1.0, 1.0], n)
     # one pole per conjugate pair (the pair's mean), by real part, then the

@@ -52,16 +52,21 @@ class CorpusSpec:
         if not 0 < self.background_amplitude < math.inf:  # NaN too
             raise SpecError(f"background_amplitude must be finite and > 0, "
                             f"got {self.background_amplitude}")
-        if self.subjects < 1 or self.records_per_subject < 1:
-            raise SpecError("need at least one subject and one record each")
+        # ids keep two digits (s00_r00), so they sort in index order
+        if not (1 <= self.subjects <= 100 and 1 <= self.records_per_subject <= 100):
+            raise SpecError("need 1 to 100 subjects, and 1 to 100 records each")
         if self.seizures_per_record < 0:
             raise SpecError("seizures_per_record must be >= 0")
         if self.record_s <= 0 or self.sample_rate_hz <= 0 or self.channels < 1:
             raise SpecError("record length, rate, and channels must be positive")
         if not math.isfinite(self.record_s) or self.record_s != int(self.record_s):
             raise SpecError("record_s must be a whole number of seconds")
+        # EDF's header holds the count of one-second records and the samples
+        # per record in 8 digits, and the channel count in 4
+        if max(self.record_s, self.sample_rate_hz) > 99_999_999 or self.channels > 9999:
+            raise SpecError("EDF holds up to 99,999,999 s and Hz, and 9,999 channels")
         lo, hi = self.seizure_len_s
-        if not 0 < lo <= hi:
+        if not 0.001 <= lo <= hi < math.inf:  # intervals are rounded to 1 ms
             raise SpecError(f"bad seizure length range {self.seizure_len_s}")
         if not self.seizure_gain >= 3.0:  # NaN too
             raise SpecError(
@@ -122,8 +127,10 @@ def _pack_intervals(
     if n == 0:
         return []
     lo, hi = spec.seizure_len_s
-    durations = rng.uniform(lo, hi, size=n)
-    slack = spec.record_s - durations.sum() - (n + 1) * MIN_SEIZURE_GAP_S
+    slack = -1.0  # the gaps alone overflow the record: draw no lengths
+    if n <= spec.record_s / MIN_SEIZURE_GAP_S:
+        durations = rng.uniform(lo, hi, size=n)
+        slack = spec.record_s - durations.sum() - (n + 1) * MIN_SEIZURE_GAP_S
     if slack < 0:
         raise SpecError(
             f"cannot pack {n} seizures of up to {hi}s plus gaps into a "

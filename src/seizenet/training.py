@@ -461,9 +461,6 @@ def run_second_pretraining(
         raise ProtocolError("second pretraining needs at least 2 subjects")
 
     pool = np.flatnonzero(dataset.subject != target_subject)
-    if np.any(dataset.subject[pool] == target_subject):
-        raise ProtocolError("target windows leaked into second pretraining")
-
     if pool.size < 2:
         raise ProtocolError("second pretraining needs at least 2 windows")
     val_rows, train_rows = _holdout(pool, train_spec, rng)
@@ -549,7 +546,6 @@ def run_fold(
     optim_spec: OptimSpec = OptimSpec(),
     schedule_spec: ScheduleSpec = ScheduleSpec(),
     train_spec: TrainSpec = TrainSpec(),
-    epoch_callback=None,
 ) -> FoldResult:
     """Fine-tune on the fold's training records and score its test record."""
     splits = {
@@ -588,7 +584,6 @@ def run_fold(
         schedule_spec,
         train_spec,
         f"fold {plan.test_record}",
-        epoch_callback,
     )
     test = splits["test"]
     probs = _predict_probs(config, params, dataset.X[test], train_spec.batch_size)

@@ -1,17 +1,20 @@
 """Golden values for the formats seizenet writes.
 
 Reruns on one commit are compared elsewhere; these literals pin the corpus
-spec hash, the experiment config hash and the EDF bytes across commits, so
-a refactor of how a format is declared cannot change what is written.
+spec hash, the experiment config hash, the EDF bytes and the checkpoint
+bytes across commits, so a refactor of how a format is declared cannot
+change what is written.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from seizenet.cli import load_experiment
 from seizenet.eegio import write_edf
+from seizenet.nn import checkpoint_bytes
 from seizenet.synthgen import CorpusSpec, generate_recording, spec_hash
 
 # The perfbench cli-conv / cli-attn network: width 64, four layers.
@@ -159,4 +162,15 @@ def test_edf_bytes():
     edf = write_edf(generate_recording(spec, 0, 0))
     assert hashlib.sha256(edf).hexdigest() == (
         "bb6d4815d323c2ff99e812048a5f76d7d73808f79df2d6c9d68125b761808e5b"
+    )
+
+
+def test_checkpoint_bytes():
+    params = {
+        "encoder.0.ln1.gamma": np.array([1.0, -0.5, 2.5]),
+        "conv.0.weight": np.arange(6, dtype=np.float32).reshape(2, 3) / 8,
+    }
+    config = {"model_dim": 3, "layers": 1, "dropout_p": 0.1}
+    assert hashlib.sha256(checkpoint_bytes(params, config)).hexdigest() == (
+        "fa3704a14059715cabcabcd824b507ff24690080d500b5d96aa8209025e31b6e"
     )

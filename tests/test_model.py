@@ -33,7 +33,7 @@ from seizenet.model import (
     transformer_forward,
 )
 from seizenet.nn import Tensor, conv1d, gelu, grad_check
-from seizenet.nn.checkpoint import checkpoint_bytes, parse_checkpoint
+from seizenet.nn.checkpoint import HEADER, checkpoint_bytes, parse_checkpoint
 from seizenet.objectives import (
     ContrastiveSpec,
     SswceSpec,
@@ -66,7 +66,7 @@ def tiny_params(layers=2, seed=0):
 
 # a checkpoint of tiny_config() and the length of its JSON manifest
 _SAME_CONFIG_BLOB = checkpoint_bytes(tiny_params(seed=29), asdict(tiny_config()))
-(_MANIFEST_LEN,) = struct.unpack_from("<Q", _SAME_CONFIG_BLOB, 8)
+(_MANIFEST_LEN,) = struct.unpack_from("<Q", _SAME_CONFIG_BLOB, HEADER)
 
 
 class TestModelConfig:
@@ -409,7 +409,7 @@ class TestInitPolicies:
 
         want = load(_SAME_CONFIG_BLOB)
         blob = bytearray(_SAME_CONFIG_BLOB)
-        blob[16 + pos] ^= 1 << bit
+        blob[HEADER + 8 + pos] ^= 1 << bit
         try:
             got = load(bytes(blob))
         except CheckpointError:
