@@ -38,14 +38,17 @@ Cases, each run once untimed and then ``--repeats`` times in this process:
   scores the same number of masked positions;
 - ``<shape>.eval_forward``: ``forward_classifier`` under ``no_grad``;
 
-at the model, window and batch shapes of the ``cli-conv`` and ``cli-attn``
-workloads, read from ``perfbench/workloads.py``: 20 channels x 2048
-samples, width 64, 4 transformer layers, with 6 conv blocks at batch 32
-and 3 conv blocks at batch 16.  Inputs are seeded normal draws, so every
-run times the same arithmetic.  One more untimed train step per shape,
-under ``tracemalloc``, gives ``tape_peak_mb``: the largest traced heap in
-MiB over the step, which the tape of the forward sets.  One more untimed
-pretraining step gives ``pretrain_tape_peak_mb`` in the same way.
+at the model, window and batch shapes of the ``cli-conv``, ``cli-attn`` and
+``cli-smoke`` workloads, read from ``perfbench/workloads.py``: 20 channels
+x 2048 samples, width 64, 4 transformer layers, with 6 conv blocks at batch
+32 and 3 conv blocks at batch 16; and the smoke network, 2 channels x 128
+samples, width 16, 3 conv blocks and 2 transformer layers at batch 8, where
+the Adam step and ``Rng`` costs show beside the kernels.  Inputs are seeded
+normal draws, so every run times the same arithmetic.  One more untimed
+train step per shape, under ``tracemalloc``, gives ``tape_peak_mb``: the
+largest traced heap in MiB over the step, which the tape of the forward
+sets.  One more untimed pretraining step gives ``pretrain_tape_peak_mb`` in
+the same way.
 
 - ``cli-conv.prepare``: ``load_corpus`` and ``prepare_recordings`` (band-pass,
   windowing, normalisation) on the ``cli-conv`` corpus at seed 1, which is
@@ -413,6 +416,8 @@ def main(argv=None) -> int:
     # these last, so the inputs above keep their draws
     runs.append(_block_case(sn, rng))
     runs.append(_ffn_case(sn, rng))
+    model_runs, tape_steps["cli-smoke"] = _model_cases(sn, rng, "cli-smoke")
+    runs.extend(model_runs)
 
     samples: dict[str, list[float]] = {}
     with tempfile.TemporaryDirectory(prefix="seizenet-step-") as workdir:

@@ -26,12 +26,11 @@ from .eegio import (
     write_edf_file,
 )
 from .evalpost import (
-    AlarmReport,
     EventScore,
     PredictionTrack,
     aggregate,
     event_sensitivity,
-    false_positives_per_hour,
+    false_alarm_runs,
     postprocess_labels,
     score_track,
     smooth_majority,
@@ -83,7 +82,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState",
-    "AlarmReport",
     "ContrastiveSpec",
     "CorpusSpec",
     "EventScore",
@@ -112,7 +110,7 @@ __all__ = [
     "contrastive_loss",
     "design_butterworth_bandpass",
     "event_sensitivity",
-    "false_positives_per_hour",
+    "false_alarm_runs",
     "forward_classifier",
     "forward_pretrain",
     "generate_corpus",

@@ -6,8 +6,8 @@ config hash so later stages refuse to resume on top of results produced
 under a different configuration.  Outputs carry no timestamps or absolute
 paths, which makes reruns with identical config and seed byte-identical.
 
-Exit codes: 0 success, 2 configuration errors, 3 protocol errors,
-4 numeric failures.
+Exit codes: 0 success, 2 configuration and input errors and running out of
+memory, 3 protocol errors, 4 numeric failures.
 """
 
 from __future__ import annotations
@@ -415,8 +415,9 @@ def cmd_second_pretrain(args) -> int:
     return 0
 
 
-def _fold_task(plan: FoldPlan, dataset, init, exp: Experiment) -> dict:
-    """One fold, self-contained so it can run in a worker process."""
+def _fold_task(plan: FoldPlan, dataset, init, exp: Experiment):
+    """One fold, self-contained so it can run in a worker process: its score
+    and the ``fold_*.json`` object."""
     result = run_fold(
         plan,
         dataset,
@@ -431,10 +432,23 @@ def _fold_task(plan: FoldPlan, dataset, init, exp: Experiment) -> dict:
         schedule_spec=exp.schedule,
         train_spec=exp.train,
     )
-    return {
-        "plan": plan,
-        "probs": result.probs,
-        "test_labels": result.test_labels,
+    # the test windows were labelled from the record's truth events
+    track = PredictionTrack(
+        record_id=plan.test_record,
+        probs=result.probs,
+        truth_events=label_runs(result.test_labels),
+        window_s=exp.window_s,
+    )
+    score = score_track(track)
+    return score, {
+        "subject": plan.subject_id,
+        "record": plan.test_record,
+        "config_hash": exp.hash,
+        "window_s": exp.window_s,
+        "probs": [float(p) for p in result.probs],
+        "test_labels": [int(x) for x in result.test_labels],
+        "truth_events": [list(e) for e in track.truth_events],
+        "score": _score_dict(score),
         "train": _train_summary(result.train),
     }
 
@@ -500,28 +514,8 @@ def cmd_loocv(args) -> int:
         outcomes = list(map(_fold_task, *tasks))
 
     scores_by_subject: dict[str, list[EventScore]] = {}
-    for outcome in outcomes:
-        plan = outcome["plan"]
-        # the test windows were labelled from the record's truth events
-        track = PredictionTrack(
-            record_id=plan.test_record,
-            probs=outcome["probs"],
-            truth_events=label_runs(outcome["test_labels"]),
-            window_s=exp.window_s,
-        )
-        score = score_track(track)
+    for plan, (score, payload) in zip(plans, outcomes):
         scores_by_subject.setdefault(plan.subject_id, []).append(score)
-        payload = {
-            "subject": plan.subject_id,
-            "record": plan.test_record,
-            "config_hash": exp.hash,
-            "window_s": exp.window_s,
-            "probs": [float(p) for p in outcome["probs"]],
-            "test_labels": [int(x) for x in outcome["test_labels"]],
-            "truth_events": [list(e) for e in track.truth_events],
-            "score": _score_dict(score),
-            "train": outcome["train"],
-        }
         _write_atomic(
             exp.out_dir / f"fold_{plan.subject_id}_{plan.test_record}.json",
             json_text(payload),
@@ -688,6 +682,9 @@ def main(argv=None) -> int:
         return 4
     except CONFIG_FAILURES as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:  # numpy's text names the allocation that failed
+        print(f"out of memory: {err}", file=sys.stderr)
         return 2
 
 

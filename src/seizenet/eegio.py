@@ -175,46 +175,32 @@ class WindowedDataset:
 # ---------------------------------------------------------------------------
 
 
-def _ascii(data: bytes, pos: int, n: int) -> tuple[str, int]:
+def _field(data: bytes, pos: int, n: int, what: str, kind=str):
+    """(``kind`` of the stripped latin-1 field of ``n`` bytes at ``pos``,
+    the position after it); ``kind`` is str, int or float."""
     if pos + n > len(data):
         raise ParseError("truncated header", offset=len(data))
-    return data[pos : pos + n].decode("latin-1"), pos + n
-
-
-def _text_field(data: bytes, pos: int, n: int, what: str) -> tuple[str, int]:
-    raw, newpos = _ascii(data, pos, n)
-    return raw.strip(), newpos
-
-
-def _int_field(data: bytes, pos: int, n: int, what: str) -> tuple[int, int]:
-    raw, newpos = _ascii(data, pos, n)
+    raw = data[pos : pos + n].decode("latin-1")
     try:
-        return int(raw.strip()), newpos
+        return kind(raw.strip()), pos + n
     except ValueError:
-        raise ParseError(f"non-integer {what} field {raw!r}", offset=pos) from None
-
-
-def _float_field(data: bytes, pos: int, n: int, what: str) -> tuple[float, int]:
-    raw, newpos = _ascii(data, pos, n)
-    try:
-        return float(raw.strip()), newpos
-    except ValueError:
-        raise ParseError(f"non-numeric {what} field {raw!r}", offset=pos) from None
+        adjective = "non-integer" if kind is int else "non-numeric"
+        raise ParseError(f"{adjective} {what} field {raw!r}", offset=pos) from None
 
 
 # The per-signal header, stored field-major (every signal's label, then every
-# signal's transducer, ...): field name, width in bytes, and its parser.
+# signal's transducer, ...): field name, width in bytes, and its type.
 _SIGNAL_FIELDS = (
-    ("label", 16, _text_field),
-    ("transducer", 80, _text_field),
-    ("physical-dimension", 8, _text_field),
-    ("physical-min", 8, _float_field),
-    ("physical-max", 8, _float_field),
-    ("digital-min", 8, _int_field),
-    ("digital-max", 8, _int_field),
-    ("prefiltering", 80, _text_field),
-    ("samples-per-record", 8, _int_field),
-    ("reserved", 32, _text_field),
+    ("label", 16, str),
+    ("transducer", 80, str),
+    ("physical-dimension", 8, str),
+    ("physical-min", 8, float),
+    ("physical-max", 8, float),
+    ("digital-min", 8, int),
+    ("digital-max", 8, int),
+    ("prefiltering", 80, str),
+    ("samples-per-record", 8, int),
+    ("reserved", 32, str),
 )
 
 
@@ -225,19 +211,17 @@ def parse_edf(data: bytes) -> Recording:
     UnsupportedError for EDF features outside the CHB-MIT-style subset
     (mixed sampling rates, EDF+ annotation channels, non-integer rates).
     """
-    pos = 0
-    version, pos = _ascii(data, pos, 8)
-    if version.strip() != "0":
-        raise ParseError(f"unsupported EDF version {version.strip()!r}", offset=0)
-    patient, pos = _ascii(data, pos, 80)
-    recording, pos = _ascii(data, pos, 80)
-    _, pos = _ascii(data, pos, 8)  # start date
-    _, pos = _ascii(data, pos, 8)  # start time
-    header_bytes, pos = _int_field(data, pos, 8, "header-bytes")
-    _, pos = _ascii(data, pos, 44)  # reserved
-    n_records, pos = _int_field(data, pos, 8, "record-count")
-    record_duration, pos = _float_field(data, pos, 8, "record-duration")
-    ns, pos = _int_field(data, pos, 4, "signal-count")
+    version, pos = _field(data, 0, 8, "version")
+    if version != "0":
+        raise ParseError(f"unsupported EDF version {version!r}", offset=0)
+    patient, pos = _field(data, pos, 80, "patient")
+    recording, pos = _field(data, pos, 80, "recording")
+    # start date and time (8 bytes each), then the header-bytes field
+    header_bytes, pos = _field(data, pos + 16, 8, "header-bytes", int)
+    # 44 reserved bytes, then the record count
+    n_records, pos = _field(data, pos + 44, 8, "record-count", int)
+    record_duration, pos = _field(data, pos, 8, "record-duration", float)
+    ns, pos = _field(data, pos, 4, "signal-count", int)
 
     if ns <= 0:
         raise ParseError("EDF declares zero signals", offset=pos - 4)
@@ -253,10 +237,10 @@ def parse_edf(data: bytes) -> Recording:
         )
 
     signal = {}
-    for name, width, parse in _SIGNAL_FIELDS:
+    for name, width, kind in _SIGNAL_FIELDS:
         signal[name] = []
         for i in range(ns):
-            value, pos = parse(data, pos, width, f"{name}[{i}]")
+            value, pos = _field(data, pos, width, f"{name}[{i}]", kind)
             signal[name].append(value)
     labels, spr = signal["label"], signal["samples-per-record"]
     phys_min, phys_max = signal["physical-min"], signal["physical-max"]
@@ -305,8 +289,8 @@ def parse_edf(data: bytes) -> Recording:
         samples = digital * gain[:, None] + offset[:, None]
 
     return Recording(
-        subject_id=patient.strip(),
-        record_id=recording.strip(),
+        subject_id=patient,
+        record_id=recording,
         sample_rate_hz=rate,
         channels=labels,
         samples=samples,

@@ -224,17 +224,6 @@ class PredictionTrack:
 
 
 @dataclass(frozen=True)
-class AlarmReport:
-    alarms: list[tuple[int, int]]
-    false_window_count: int
-    duration_h: float
-
-    @property
-    def rate(self) -> float:
-        return len(self.alarms) / self.duration_h
-
-
-@dataclass(frozen=True)
 class EventScore:
     detected_events: int
     total_events: int
@@ -250,6 +239,7 @@ class EventScore:
 
     @property
     def fp_per_h(self) -> float:
+        """False alarms per hour, pooled over the scored duration."""
         if self.duration_h <= 0:
             raise MetricError("cannot rate a zero-duration score")
         return self.false_alarms / self.duration_h
@@ -264,29 +254,23 @@ def event_sensitivity(track: PredictionTrack) -> tuple[float | None, list[bool]]
     return sum(detected) / len(detected), detected
 
 
-def false_positives_per_hour(track: PredictionTrack) -> AlarmReport:
-    """Merged false-alarm runs and their pooled hourly rate."""
-    if track.n_windows == 0:
-        raise MetricError("cannot rate a zero-duration track")
-    alarms = [
+def false_alarm_runs(track: PredictionTrack) -> list[tuple[int, int]]:
+    """The maximal runs of positive windows that touch no truth event."""
+    return [
         (i, j)
         for i, j in label_runs(track.labels())
         if not any(max(i, a) < min(j, b) for a, b in track.truth_events)
     ]
-    return AlarmReport(
-        alarms=alarms,
-        false_window_count=sum(j - i for i, j in alarms),
-        duration_h=track.duration_h,
-    )
 
 
 def score_track(track: PredictionTrack) -> EventScore:
+    if track.n_windows == 0:
+        raise MetricError("cannot rate a zero-duration track")
     _, detected = event_sensitivity(track)
-    report = false_positives_per_hour(track)
     return EventScore(
         detected_events=sum(detected),
         total_events=len(track.truth_events),
-        false_alarms=len(report.alarms),
+        false_alarms=len(false_alarm_runs(track)),
         duration_h=track.duration_h,
     )
 

@@ -28,6 +28,7 @@ _ERF_P = tuple(0.5 * c for c in (-2.72614225801306e-10, 2.77068142495902e-08,
 _ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
     -7.37332916720468e-03, -1.42647390514189e-02)
 _CDF_BLOCK = 65536  # elements per in-place pass: 256 KiB float32 scratch rows, in L2
+_NORM_EPS = 1e-5  # added to the variance by group norm and layer norm
 
 
 def _check_linear(x_shape, w_shape) -> None:
@@ -38,6 +39,17 @@ def _check_linear(x_shape, w_shape) -> None:
         )
     if len(x_shape) < 2 or len(w_shape) < 2:
         raise ShapeError(f"matmul needs >=2 dims, got {x_shape} @ {w_shape}")
+
+
+def _dense_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b, need_gx: bool):
+    """Accumulate the gradients of ``x @ w + b`` at ``g`` into w and b (b may
+    be None) where they need one; return the input gradient ``g @ w.T`` if
+    ``need_gx``, else None."""
+    if w.requires_grad:
+        w.accumulate_grad(_unbroadcast(x.mT @ g, w.shape))
+    if b is not None and b.requires_grad:
+        b.accumulate_grad(_unbroadcast(g, b.shape))
+    return g @ w.data.mT if need_gx else None
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -295,12 +307,12 @@ def conv1d(
     return out.reshape(*y.shape[1:]) if squeeze else out
 
 
-def _standardize(x: np.ndarray, axes, eps: float, out: np.ndarray | None = None):
+def _standardize(x: np.ndarray, axes, out: np.ndarray | None = None):
     """(z, mu, inv_std) of ``x`` standardised over ``axes``, keepdims shapes;
     z is written to ``out`` when given, which may be ``x`` itself."""
     mu = x.mean(axis=axes, keepdims=True)
     var = x.var(axis=axes, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + _NORM_EPS)
     z = np.subtract(x, mu, out=out)
     z *= inv_std
     return z, mu, inv_std
@@ -344,11 +356,11 @@ def _affine_backward(gy, z, inv_std, axes, gamma, beta, reduce_axes, need_gx, ou
     return _standardize_backward(ghat, z, inv_std, axes)
 
 
-def _affine_norm(x: Tensor, view, axes, gamma: Tensor, beta: Tensor, reduce_axes, eps):
+def _affine_norm(x: Tensor, view, axes, gamma: Tensor, beta: Tensor, reduce_axes):
     """``_standardize`` over ``axes`` of ``x`` viewed as ``view``, then
     ``_affine`` over ``reduce_axes`` of x.  The tape keeps mu and inv_std;
     backward rebuilds z from the input."""
-    z, mu, inv_std = _standardize(x.data.reshape(view), axes, eps)
+    z, mu, inv_std = _standardize(x.data.reshape(view), axes)
     y = _affine(z, x.shape, gamma.data, beta.data, reduce_axes)
 
     def backward(gy):
@@ -366,9 +378,7 @@ def _check_groups(c: int, groups: int) -> None:
         raise ShapeError(f"{c} channels not divisible by {groups} groups")
 
 
-def group_norm(
-    x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5
-) -> Tensor:
+def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-group normalization over (channels/groups, length) with affine:
     layer norm over each group's channels and length."""
     squeeze = x.ndim == 2
@@ -376,7 +386,7 @@ def group_norm(
     n, c, length = xb.shape
     _check_groups(c, groups)
     view = (n, groups, c // groups, length)
-    out = _affine_norm(xb, view, (2, 3), gamma, beta, (0, 2), eps)
+    out = _affine_norm(xb, view, (2, 3), gamma, beta, (0, 2))
     return out.reshape(c, length) if squeeze else out
 
 
@@ -411,7 +421,7 @@ def conv_block(
     if keep is not None:
         _dropout(y, keep, p, out=y)
     view, axes, reduce_axes = (n, groups, c // groups, length), (2, 3), (0, 2)
-    z, _, inv_std = _standardize(y.reshape(view), axes, 1e-5, out=y.reshape(view))
+    z, _, inv_std = _standardize(y.reshape(view), axes, out=y.reshape(view))
     h = _affine(z, y.shape, gamma.data, beta.data, reduce_axes)
     out, _ = _gelu(h, out=h)
 
@@ -467,34 +477,23 @@ def feed_forward(
         # g is this node's own buffer, dropped by the tape after this rule
         if keep is not None:
             _dropout(g, keep, p, out=g)
-        if b2.requires_grad:
-            b2.accumulate_grad(_unbroadcast(g, b2.shape))
-        need_gu = x.requires_grad or w1.requires_grad or b1.requires_grad
-        if not (need_gu or w2.requires_grad):
-            return
-        y, cdf = _gelu(u, keep_cdf=need_gu)
-        if w2.requires_grad:
-            w2.accumulate_grad(_unbroadcast(y.mT @ g, w2.shape))
-        del y
-        if not need_gu:
-            return
+        y, cdf = _gelu(u, keep_cdf=True)
+        _dense_backward(g, y, w2, b2, False)
+        del y  # before g @ w2.T, so three (N, S, ffn_dim) arrays never coexist
         gu = _gelu_backward(g @ w2.data.mT, u, cdf)
-        if b1.requires_grad:
-            b1.accumulate_grad(_unbroadcast(gu, b1.shape))
-        if w1.requires_grad:
-            w1.accumulate_grad(_unbroadcast(x.data.mT @ gu, w1.shape))
-        if x.requires_grad:
-            x.accumulate_grad(_unbroadcast(gu @ w1.data.mT, x.shape))
+        gx = _dense_backward(gu, x.data, w1, b1, x.requires_grad)
+        if gx is not None:
+            x.accumulate_grad(gx)
 
     return Tensor.from_op(out, (x, w1, b1, w2, b2), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalization over the last axis with learned affine."""
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"affine shapes {gamma.shape}/{beta.shape} != ({d},)")
-    return _affine_norm(x, x.shape, -1, gamma, beta, tuple(range(x.ndim - 1)), eps)
+    return _affine_norm(x, x.shape, -1, gamma, beta, tuple(range(x.ndim - 1)))
 
 
 def multi_head_attention(
@@ -533,20 +532,16 @@ def multi_head_attention(
     ctx = merge(a @ v)
 
     def backward(g):
-        g = g.reshape(n, s, d)
-        if wo.requires_grad:
-            wo.accumulate_grad((ctx.mT @ g).sum(axis=0))
-        gctx = split(g @ wo.data.mT)
+        gctx = split(_dense_backward(g.reshape(n, s, d), ctx, wo, None, True))
         gs = _softmax_backward(gctx @ v.mT, a, axis=-1)  # at the scores
         # the gradients at x @ wq, x @ wk and x @ wv
         gms = (merge((gs @ k) * scale), merge((q.mT @ gs).mT), merge(a.mT @ gctx))
+        gx = None  # summed in the order the composed tape adds them
         for w, gm in zip((wq, wk, wv), gms):
-            if w.requires_grad:
-                w.accumulate_grad((xd.mT @ gm).sum(axis=0))
-        if x.requires_grad:  # summed in the order the composed tape adds them
-            gx = gms[0] @ wq.data.mT
-            gx += gms[1] @ wk.data.mT
-            gx += gms[2] @ wv.data.mT
+            part = _dense_backward(gm, xd, w, None, x.requires_grad)
+            gx = part if gx is None else np.add(gx, part, out=gx)
+            del part  # so no product outlives its sum
+        if gx is not None:
             x.accumulate_grad(gx.reshape(x.shape))
 
     out = (ctx @ wo.data).reshape(x.shape)

@@ -1279,8 +1279,36 @@ def test_console_entry_point(workdir):
         assert name in proc.stdout
 
 
+def test_out_of_memory_exits_2_without_a_traceback(tmp_path):
+    # one 10,000,000 s record of 2 channels at 64 Hz needs 9.5 GiB of
+    # samples, which a 2 GiB address-space limit (set in the child only)
+    # cannot hold
+    resource = pytest.importorskip("resource")
+    spec = {
+        "subjects": 1,
+        "records_per_subject": 1,
+        "record_s": 10_000_000,
+        "seizures_per_record": 0,
+        "sample_rate_hz": 64,
+        "channels": 2,
+    }
+    config = write_json(tmp_path / "spec.json", spec)
+    argv = ["synth", "--config", str(config), "--out", str(tmp_path / "corpus")]
+    limit = 2 * 2**30
+    proc = subprocess.run(
+        [sys.executable, "-m", "seizenet", *argv],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "memory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_import_leaves_scipy_signal_unloaded():
-    # scipy is the slowest import; only the filtering stages load it
+    # scipy is a test-only reference: the band-pass is numpy-only, so no
+    # stage imports scipy, and importing the CLI must not either
     proc = subprocess.run(
         [
             sys.executable,

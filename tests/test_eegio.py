@@ -145,6 +145,31 @@ class TestParseEdf:
         with pytest.raises(ParseError, match="byte offset 236"):
             parse_edf(broken)
 
+    # two signals: physical-min[0] opens the signal header's fourth field
+    # at 256 + 2*(16 + 80 + 8), samples-per-record[0] its ninth at
+    # 256 + 2*(16 + 80 + 8 + 4*8 + 80)
+    @pytest.mark.parametrize(
+        "pos, text, message, offset",
+        [
+            (688, "oops    ", "non-integer samples-per-record[0] field", 688),
+            (464, "bad     ", "non-numeric physical-min[0] field", 464),
+            (356, None, "truncated header", 356),
+        ],
+    )
+    def test_signal_header_errors_name_field_and_offset(
+        self, pos, text, message, offset
+    ):
+        rec = Recording("s01", "s01_r00", 4, ["A", "B"], np.zeros((2, 8)))
+        data = write_edf(rec)
+        if text is None:  # cut inside the signal header
+            broken = data[:pos]
+        else:
+            broken = data[:pos] + text.encode() + data[pos + len(text) :]
+        with pytest.raises(ParseError) as err:
+            parse_edf(broken)
+        assert str(err.value).startswith(message)
+        assert err.value.offset == offset
+
     def test_header_bytes_mismatch_rejected(self):
         data = build_edf_bytes(
             ["C3"],

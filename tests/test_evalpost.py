@@ -11,12 +11,11 @@ import pytest
 from seizenet.eegio import SeizureInterval
 from seizenet.errors import ConfigError, MetricError
 from seizenet.evalpost import (
-    AlarmReport,
     EventScore,
     PredictionTrack,
     aggregate,
     event_sensitivity,
-    false_positives_per_hour,
+    false_alarm_runs,
     label_runs,
     postprocess_labels,
     score_track,
@@ -237,33 +236,29 @@ class TestFalseAlarms:
         probs = np.zeros(450)
         probs[[102, 200, 300]] = 1.0
         track = PredictionTrack("r", probs, [(100, 105)])
-        report = false_positives_per_hour(track)
-        assert report.alarms == [(200, 201), (300, 301)]
-        assert report.rate == pytest.approx(2.0)
+        assert false_alarm_runs(track) == [(200, 201), (300, 301)]
+        assert score_track(track).fp_per_h == pytest.approx(2.0)
 
     def test_all_zero(self):
         track = PredictionTrack("r", np.zeros(450))
-        assert false_positives_per_hour(track).rate == 0.0
+        assert score_track(track).fp_per_h == 0.0
 
     def test_run_merges_into_one_alarm(self):
         labels = np.zeros(100, dtype=int)
         labels[40:45] = 1
         track = PredictionTrack.from_labels("r", labels)
-        report = false_positives_per_hour(track)
-        assert len(report.alarms) == 1
-        assert report.false_window_count == 5
+        assert false_alarm_runs(track) == [(40, 45)]
 
     def test_run_touching_truth_is_not_an_alarm(self):
         labels = np.zeros(100, dtype=int)
         labels[98:100] = 1
         labels[50:56] = 1
         track = PredictionTrack.from_labels("r", labels, [(55, 60)])
-        report = false_positives_per_hour(track)
-        assert report.alarms == [(98, 100)]
+        assert false_alarm_runs(track) == [(98, 100)]
 
     def test_zero_duration_raises(self):
         with pytest.raises(MetricError):
-            false_positives_per_hour(PredictionTrack("r", np.zeros(0)))
+            score_track(PredictionTrack("r", np.zeros(0)))
 
 
 class TestAggregate:
@@ -303,9 +298,8 @@ class TestBruteForceOracle:
                 labels.tolist(), truth
             )
             score = score_track(track)
-            report = false_positives_per_hour(track)
             assert score.detected_events == want_detected
-            assert report.alarms == want_alarms
+            assert false_alarm_runs(track) == want_alarms
             assert score.fp_per_h == want_rate
 
     def test_minpool_never_raises_alarm_rate_without_truth(self):
@@ -316,9 +310,9 @@ class TestBruteForceOracle:
             n = int(rng.integers(1, 65))
             labels = rng.integers(0, 2, size=n)
             track = PredictionTrack.from_labels("r", labels)
-            before = false_positives_per_hour(track).rate
+            before = score_track(track).fp_per_h
             eroded = track.with_labels(smooth_minpool(labels, 3))
-            after = false_positives_per_hour(eroded).rate
+            after = score_track(eroded).fp_per_h
             assert after <= before
 
     def test_minpool_never_raises_pointwise_false_positives(self):
@@ -340,9 +334,9 @@ class TestBruteForceOracle:
         labels = np.zeros(20, dtype=int)
         labels[5:9] = 1
         track = PredictionTrack.from_labels("r", labels, [(5, 6)])
-        assert len(false_positives_per_hour(track).alarms) == 0
+        assert false_alarm_runs(track) == []
         eroded = track.with_labels(smooth_minpool(labels, 3))
-        assert len(false_positives_per_hour(eroded).alarms) == 1
+        assert len(false_alarm_runs(eroded)) == 1
 
 
 class TestThresholdMonotonicity:
