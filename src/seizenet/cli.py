@@ -578,34 +578,24 @@ def cmd_eval(args) -> int:
 
     tracks = [_read_track(path, exp) for path in files]
 
+    setups = [
+        (method, w)
+        for method in post.methods
+        for w in ([None] if method == "none" else post.widths)
+    ]
     if args.dry_run:
-        n_rows = sum(1 if m == "none" else len(post.widths) for m in post.methods)
-        print(f"would evaluate {len(tracks)} tracks over {n_rows} setups")
+        print(f"would evaluate {len(tracks)} tracks over {len(setups)} setups")
         return 0
 
     rows = []
-    for method in post.methods:
-        for w in [None] if method == "none" else post.widths:
-            scores = []
-            for track in tracks:
-                labels = postprocess_labels(
-                    track.labels(), method, w if w is not None else 3
-                )
-                scores.append(score_track(track.with_labels(labels)))
-            total = aggregate(scores)
-            rows.append(
-                {
-                    "method": method,
-                    "w": w,
-                    **_score_dict(total),
-                }
-            )
+    for method, w in setups:
+        scores = []
+        for track in tracks:
+            labels = postprocess_labels(track.labels(), method, 3 if w is None else w)
+            scores.append(score_track(track.with_labels(labels)))
+        rows.append({"method": method, "w": w, **_score_dict(aggregate(scores))})
 
-    payload = {
-        "stage": "eval",
-        "config_hash": exp.hash,
-        "rows": rows,
-    }
+    payload = {"stage": "eval", "config_hash": exp.hash, "rows": rows}
     _write_atomic(pred_dir / "eval_result.json", json_text(payload))
 
     _write_table(

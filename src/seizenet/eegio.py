@@ -462,9 +462,10 @@ def load_corpus(corpus_dir: str | Path) -> list[Recording]:
     Expects ``<subject>/<record>.edf`` files, an ``annotations.csv`` keyed by
     record id, and optionally a ``manifest.json`` (used for the file list
     when present so ordering matches generation order).  Raises
-    ConfigError when the directory holds no record, the manifest is
-    malformed or ``annotations.csv`` is not UTF-8, and AnnotationError for
-    an interval that ends past its record.
+    ConfigError when the directory holds no record, two records share an id
+    (one annotation line would label both), the manifest is malformed or
+    ``annotations.csv`` is not UTF-8, and AnnotationError for an interval
+    that ends past its record.
     """
     root = Path(corpus_dir)
     ann_path = root / "annotations.csv"
@@ -494,6 +495,14 @@ def load_corpus(corpus_dir: str | Path) -> list[Recording]:
         entries = [(p.parent.name, p.stem, p) for p in sorted(root.glob("*/*.edf"))]
     if not entries:
         raise ConfigError(f"corpus directory {root} holds no records")
+    subject_of = {}
+    for subject_id, record_id, _ in entries:
+        if record_id in subject_of:
+            raise ConfigError(
+                f"record id {record_id!r} is used twice, under subjects "
+                f"{subject_of[record_id]!r} and {subject_id!r}"
+            )
+        subject_of[record_id] = subject_id
 
     recordings = []
     for subject_id, record_id, path in entries:

@@ -302,7 +302,8 @@ def contrastive_alignment(
     batch_size: int = 32,
 ) -> dict:
     """Evaluation-mode contrastive loss and similarity gap over windows."""
-    losses, gaps, target_sims, distractor_sims = [], [], [], []
+    keys = ("loss", "alignment_gap", "target_sim", "distractor_sim")
+    totals = dict.fromkeys(keys, 0.0)
     for i, start in enumerate(range(0, len(windows), batch_size)):
         batch = windows[start : start + batch_size]
         srng = rng.child("batch", i)
@@ -313,18 +314,10 @@ def contrastive_alignment(
             loss, info = contrastive_loss(
                 ctx, targets, masked, contrastive_spec, srng.child("distractors")
             )
-        weight = len(batch)
-        losses.append(float(loss.data) * weight)
-        gaps.append(info["alignment_gap"] * weight)
-        target_sims.append(info["target_sim"] * weight)
-        distractor_sims.append(info["distractor_sim"] * weight)
-    n = len(windows)
-    return {
-        "loss": sum(losses) / n,
-        "alignment_gap": sum(gaps) / n,
-        "target_sim": sum(target_sims) / n,
-        "distractor_sim": sum(distractor_sims) / n,
-    }
+        info["loss"] = float(loss.data)
+        for key in totals:
+            totals[key] += info[key] * len(batch)
+    return {key: total / len(windows) for key, total in totals.items()}
 
 
 def check_pretraining(n_windows: int, mask_spec: MaskSpec) -> None:
@@ -364,31 +357,15 @@ def run_pretraining(
 
     def validate(erng):
         val = contrastive_alignment(
-            config,
-            params,
-            X[val_idx],
-            mask_spec,
-            contrastive_spec,
-            erng.child("val"),
-            train_spec.batch_size,
+            config, params, X[val_idx], mask_spec, contrastive_spec,
+            erng.child("val"), train_spec.batch_size,
         )
         gaps.append(val["alignment_gap"])
         return val["loss"]
 
     result = _fit(
-        config,
-        params,
-        X,
-        None,
-        train_idx,
-        step_loss,
-        validate,
-        rng,
-        SamplerSpec(kind="none"),
-        optim_spec,
-        schedule_spec,
-        train_spec,
-        stage="pretraining",
+        config, params, X, None, train_idx, step_loss, validate, rng,
+        SamplerSpec(kind="none"), optim_spec, schedule_spec, train_spec, "pretraining",
     )
     result.info = {
         "val_alignment_gaps": gaps,
@@ -420,18 +397,48 @@ def _predict_probs(
     return np.concatenate(chunks, axis=0)
 
 
-def _sswce_closures(config, params, dataset, val_rows, sswce_spec, batch_size):
-    """The SSWCE step loss and validation that stages 2 and 3 train with."""
+def _fit_sswce(
+    dataset: WindowedDataset,
+    train_rows: np.ndarray,
+    val_rows: np.ndarray,
+    config: ModelConfig,
+    rng: Rng,
+    init: tuple[dict, dict] | None,
+    init_policy: str,
+    freeze_policy: str,
+    sswce_spec: SswceSpec,
+    sampler_spec: SamplerSpec,
+    optim_spec: OptimSpec,
+    schedule_spec: ScheduleSpec,
+    train_spec: TrainSpec,
+    stage: str,
+    epoch_callback=None,
+) -> TrainResult:
+    """The supervised fit of stages 2 and 3.
+
+    Starts from ``init`` under ``init_policy`` (random init without one),
+    applies ``freeze_policy`` and trains the SSWCE loss on ``train_rows`` of
+    ``dataset``, validated on ``val_rows``.
+    """
+    policy = init_policy if init is not None else "random"
+    params = init_weights(config, policy, rng.child("init"), source=init)
+    set_trainable(params, freeze_policy)
 
     def step_loss(batch, labels, srng):
         probs = forward_classifier(config, params, batch, rng=srng, training=True)
         return sswce_loss(probs, labels, sswce_spec)
 
     def validate(erng):
-        probs = _predict_probs(config, params, dataset.X[val_rows], batch_size)
+        probs = _predict_probs(
+            config, params, dataset.X[val_rows], train_spec.batch_size
+        )
         return float(sswce_loss(Tensor(probs), dataset.y[val_rows], sswce_spec).data)
 
-    return step_loss, validate
+    return _fit(
+        config, params, dataset.X, dataset.y, train_rows, step_loss, validate,
+        rng.child("fit"), sampler_spec, optim_spec, schedule_spec, train_spec, stage,
+        epoch_callback,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -465,26 +472,10 @@ def run_second_pretraining(
         raise ProtocolError("second pretraining needs at least 2 windows")
     val_rows, train_rows = _holdout(pool, train_spec, rng)
 
-    policy = init_policy if init is not None else "random"
-    params = init_weights(config, policy, rng.child("init"), source=init)
-    step_loss, validate = _sswce_closures(
-        config, params, dataset, val_rows, sswce_spec, train_spec.batch_size
-    )
-    result = _fit(
-        config,
-        params,
-        dataset.X,
-        dataset.y,
-        train_rows,
-        step_loss,
-        validate,
-        rng.child("fit"),
-        sampler_spec,
-        optim_spec,
-        schedule_spec,
-        train_spec,
-        "second pretraining",
-        epoch_callback,
+    result = _fit_sswce(
+        dataset, train_rows, val_rows, config, rng, init, init_policy, "none",
+        sswce_spec, sampler_spec, optim_spec, schedule_spec, train_spec,
+        "second pretraining", epoch_callback,
     )
     result.info = {
         "target_subject": target_subject,
@@ -564,29 +555,13 @@ def run_fold(
                 f"fold {plan.test_record!r}: {name} split crosses subjects"
             )
 
-    policy = init_policy if init is not None else "random"
-    params = init_weights(config, policy, rng.child("init"), source=init)
-    set_trainable(params, freeze_policy)
-    step_loss, validate = _sswce_closures(
-        config, params, dataset, splits["val"], sswce_spec, train_spec.batch_size
-    )
-    train = _fit(
-        config,
-        params,
-        dataset.X,
-        dataset.y,
-        splits["train"],
-        step_loss,
-        validate,
-        rng.child("fit"),
-        sampler_spec,
-        optim_spec,
-        schedule_spec,
-        train_spec,
-        f"fold {plan.test_record}",
+    train = _fit_sswce(
+        dataset, splits["train"], splits["val"], config, rng, init, init_policy,
+        freeze_policy, sswce_spec, sampler_spec, optim_spec, schedule_spec,
+        train_spec, f"fold {plan.test_record}",
     )
     test = splits["test"]
-    probs = _predict_probs(config, params, dataset.X[test], train_spec.batch_size)
+    probs = _predict_probs(config, train.params, dataset.X[test], train_spec.batch_size)
     return FoldResult(
         plan=plan,
         probs=probs[:, 1],

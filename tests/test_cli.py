@@ -480,6 +480,30 @@ class TestEval:
         # restore the full sweep for later tests
         assert main(["eval", "--config", str(workdir["exp_cfg"])]) == 0
 
+    @pytest.mark.parametrize(
+        "options, n_rows",
+        [([], 10), (["--method", "none"], 1), (["--w", "5"], 4)],
+        ids=["sweep", "method-none", "w-5"],
+    )
+    def test_dry_run_counts_the_rows_it_writes(
+        self, workdir, tmp_path, capsys, options, n_rows
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        for path in workdir["out_dir"].glob("fold_*.json"):
+            shutil.copy(path, out)
+        cfg = write_json(
+            tmp_path / "exp.json", experiment_dict(workdir["corpus_dir"], out)
+        )
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--dry-run", *options]) == 0
+        line = capsys.readouterr().out.strip()
+        setups = int(line.removesuffix(" setups").rsplit(" ", 1)[1])
+        assert not (out / "eval_result.json").exists()
+        assert main(["eval", "--config", str(cfg), *options]) == 0
+        rows = json.loads((out / "eval_result.json").read_text())["rows"]
+        assert setups == len(rows) == n_rows
+
     @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
     @pytest.mark.parametrize("w", ["0", "4"])
     def test_bad_width_is_config_error(self, workdir, capsys, w, dry_run):
@@ -1144,6 +1168,22 @@ class TestCorruptCorpus:
         assert main([stage, "--config", str(cfg), *dry_run]) == 2
         err = capsys.readouterr().err
         assert f"config error: corpus directory {corpus} holds no records" in err
+
+    @pytest.mark.parametrize("stage", ["pretrain", "second-pretrain", "loocv"])
+    def test_record_id_under_two_subjects_is_config_error(
+        self, workdir, tmp_path, capsys, stage
+    ):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workdir["corpus_dir"], corpus)
+        (corpus / "manifest.json").unlink()  # list the records by directory
+        shutil.copy(corpus / "s00" / "s00_r00.edf", corpus / "s01" / "s00_r00.edf")
+        cfg = write_json(
+            tmp_path / "exp.json", experiment_dict(corpus, tmp_path / "out")
+        )
+        assert main([stage, "--config", str(cfg), "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: record id 's00_r00' is used twice" in err
+        assert "subjects 's00' and 's01'" in err
 
     def test_annotation_past_record_end_is_config_error(
         self, workdir, tmp_path, capsys

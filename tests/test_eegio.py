@@ -25,6 +25,7 @@ from seizenet.eegio import (
 )
 from seizenet.errors import (
     AnnotationError,
+    ConfigError,
     ParseError,
     UnsupportedError,
 )
@@ -474,6 +475,24 @@ class TestLoadCorpus:
         assert loaded[0].subject_id == "s01"
         assert loaded[0].record_id == "s01_r00"
         assert loaded[0].seizures == [SeizureInterval(3.0, 7.0)]
+
+    def test_refuses_one_record_id_under_two_subjects(self, tmp_path):
+        # annotations.csv is keyed by record id, so its one line would
+        # label both records
+        rng = np.random.default_rng(12)
+        for subject in ("s00", "s01"):
+            rec = Recording(
+                subject_id=subject,
+                record_id="r01",
+                sample_rate_hz=64,
+                channels=["A", "B"],
+                samples=rng.normal(size=(2, 64 * 30)),
+            )
+            (tmp_path / subject).mkdir()
+            write_edf_file(tmp_path / subject / "r01.edf", rec)
+        (tmp_path / "annotations.csv").write_text("r01,10,20\n")
+        with pytest.raises(ConfigError, match="'r01'.*'s00' and 's01'"):
+            load_corpus(tmp_path)
 
     def test_prepare_recordings_concatenates(self):
         recs = [_silent_recording(16), _silent_recording(24)]

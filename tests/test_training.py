@@ -14,8 +14,15 @@ import pytest
 
 from seizenet.eegio import Recording, SeizureInterval
 from seizenet.errors import ConfigError, ProtocolError, TrainError
-from seizenet.model import MaskSpec, ModelConfig, forward_classifier
-from seizenet.objectives import ContrastiveSpec, SswceSpec
+from seizenet.model import (
+    MaskSpec,
+    ModelConfig,
+    forward_classifier,
+    forward_pretrain,
+    init_weights,
+)
+from seizenet.nn import no_grad
+from seizenet.objectives import ContrastiveSpec, SswceSpec, contrastive_loss
 from seizenet.optim import OptimSpec, ScheduleSpec, _smote_samples
 from seizenet.preprocess import FilterSpec, normalize, preprocess_recording_samples
 from seizenet.rand import Rng
@@ -364,6 +371,34 @@ class TestPretraining:
         )
         assert set(out) == {"loss", "alignment_gap", "target_sim", "distractor_sim"}
         assert math.isfinite(out["alignment_gap"])
+
+    def test_alignment_is_the_window_weighted_mean_of_batch_losses(self, dataset):
+        # 20 windows at batch size 8 make batches of 8, 8 and 4
+        config = tiny_config()
+        params = init_weights(config, "random", Rng(4).child("init"))
+        windows = dataset.matrix()[:20]
+        mask_spec = MaskSpec(mask_prob=0.25, span_len=3)
+        spec = ContrastiveSpec(num_distractors=5)
+        rng = Rng(9).child("gap")
+        out = contrastive_alignment(
+            config, params, windows, mask_spec, spec, rng, batch_size=8
+        )
+        weighted = {key: [] for key in out}
+        for i, start in enumerate(range(0, 20, 8)):
+            batch = windows[start : start + 8]
+            srng = rng.child("batch", i)
+            with no_grad():
+                ctx, targets, masked = forward_pretrain(
+                    config, params, batch, mask_spec, srng, training=False
+                )
+                loss, info = contrastive_loss(
+                    ctx, targets, masked, spec, srng.child("distractors")
+                )
+            values = {**info, "loss": float(loss.data)}
+            for key, products in weighted.items():
+                products.append(values[key] * len(batch))
+        for key, products in weighted.items():
+            assert out[key] == sum(products) / 20, key
 
 
 class TestSecondPretraining:
