@@ -15,9 +15,9 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, is_dataclass, replace
-from functools import cached_property
-from itertools import repeat
+from functools import cached_property, partial
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -102,8 +102,11 @@ class Experiment:
         self.window_s = float(window_s)
         if self.freeze_policy not in FREEZE_POLICIES:
             raise ConfigError(f"freeze_policy must be one of {FREEZE_POLICIES}")
-        if self.init_policy not in INIT_POLICIES:
-            raise ConfigError(f"init_policy must be one of {INIT_POLICIES}")
+        # a stage starts only from its own experiment's checkpoint, which
+        # "load_duplicate" would load just as "load_shared" does
+        policies = tuple(p for p in INIT_POLICIES if p != "load_duplicate")
+        if self.init_policy not in policies:
+            raise ConfigError(f"init_policy must be one of {policies}")
 
     @cached_property
     def hash(self) -> str:
@@ -320,6 +323,34 @@ def _stage_source(exp: Experiment, name: str, dry_run: bool):
     return init
 
 
+_shared = ()  # a worker process's shared task arguments, set as it starts
+
+
+def _share(*shared) -> None:
+    global _shared
+    _shared = shared
+
+
+def _run_shared(task, key):
+    return task(key, *_shared)
+
+
+def _fan_out(task, keys, jobs: int, *shared):
+    """``task(key, *shared)`` for each of ``keys``, yielded in key order.
+
+    With ``min(jobs, len(keys))`` at 1 the tasks run one at a time, each
+    when its result is asked for. Otherwise that many worker processes run
+    them. Each worker is handed ``shared`` once, as it starts; under fork
+    it inherits them without a copy. So a task sends only its key.
+    """
+    workers = min(jobs, len(keys))
+    if workers <= 1:
+        yield from (task(key, *shared) for key in keys)
+        return
+    with ProcessPoolExecutor(workers, initializer=_share, initargs=shared) as pool:
+        yield from pool.map(partial(_run_shared, task), keys)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -388,69 +419,28 @@ def cmd_second_pretrain(args) -> int:
         print(f"would second-pretrain for targets: {', '.join(subjects)}")
         return 0
     dataset = _prepare(exp, recordings)
-    del recordings
+    del recordings  # the float64 corpus, before any subject trains
     summaries = {}
-    for subject in subjects:
-        result = run_second_pretraining(
-            dataset,
-            subject,
-            exp.model,
-            Rng(exp.seed).child("second", subject),
-            init=init,
-            init_policy=exp.init_policy,
-            sswce_spec=exp.sswce,
-            sampler_spec=exp.sampler,
-            optim_spec=exp.optim,
-            schedule_spec=exp.schedule,
-            train_spec=exp.train,
-        )
-        _save_stage(exp, f"second_{subject}", f"second:{subject}", result)
-        summaries[subject] = {
-            **_train_summary(result),
-            "train_subjects": result.info["train_subjects"],
-        }
-        print(f"second-pretrained target {subject}: {result.epochs_run} epochs")
+    tasks = _fan_out(_second_task, subjects, args.jobs, dataset, exp, init)
+    for subject, summary in zip(subjects, tasks):
+        summaries[subject] = summary
+        print(f"second-pretrained target {subject}: {summary['epochs_run']} epochs")
     payload = {**_stage_header(exp, "second-pretrain"), "subjects": summaries}
     _write_atomic(exp.out_dir / "second_result.json", json_text(payload))
     return 0
 
 
-def _fold_task(plan: FoldPlan, dataset, init, exp: Experiment):
-    """One fold, self-contained so it can run in a worker process: its score
-    and the ``fold_*.json`` object."""
-    result = run_fold(
-        plan,
-        dataset,
-        exp.model,
-        Rng(exp.seed, ("fold", plan.subject_id, plan.test_record)),
-        init=init,
-        init_policy=exp.init_policy,
-        freeze_policy=exp.freeze_policy,
-        sswce_spec=exp.sswce,
-        sampler_spec=exp.sampler,
-        optim_spec=exp.optim,
-        schedule_spec=exp.schedule,
-        train_spec=exp.train,
+def _second_task(subject: str, dataset, exp: Experiment, init) -> dict:
+    """Second pretraining for target ``subject``: writes its checkpoint and
+    loss curve and returns its summary for ``second_result.json``."""
+    result = run_second_pretraining(
+        dataset, subject, exp.model, Rng(exp.seed).child("second", subject),
+        init=init, init_policy=exp.init_policy, sswce_spec=exp.sswce,
+        sampler_spec=exp.sampler, optim_spec=exp.optim,
+        schedule_spec=exp.schedule, train_spec=exp.train,
     )
-    # the test windows were labelled from the record's truth events
-    track = PredictionTrack(
-        record_id=plan.test_record,
-        probs=result.probs,
-        truth_events=label_runs(result.test_labels),
-        window_s=exp.window_s,
-    )
-    score = score_track(track)
-    return score, {
-        "subject": plan.subject_id,
-        "record": plan.test_record,
-        "config_hash": exp.hash,
-        "window_s": exp.window_s,
-        "probs": [float(p) for p in result.probs],
-        "test_labels": [int(x) for x in result.test_labels],
-        "truth_events": [list(e) for e in track.truth_events],
-        "score": _score_dict(score),
-        "train": _train_summary(result.train),
-    }
+    _save_stage(exp, f"second_{subject}", f"second:{subject}", result)
+    return {**_train_summary(result), "train_subjects": result.info["train_subjects"]}
 
 
 def cmd_loocv(args) -> int:
@@ -468,78 +458,72 @@ def cmd_loocv(args) -> int:
         plans.extend(
             plan_loocv(subject, eligible, Rng(exp.seed).child("fold", subject))
         )
-    init_by_subject = {
+    inits = {
         subject: _stage_source(exp, f"second_{subject}", args.dry_run)
         for subject in subjects
     }
 
     if args.dry_run:
-        print(
-            json_text(
-                [
-                    {
-                        "subject": p.subject_id,
-                        "test": p.test_record,
-                        "train": list(p.train_records),
-                        "val": list(p.val_records),
-                    }
-                    for p in plans
-                ]
-            ),
-            end="",
-        )
+        rows = [
+            {"subject": p.subject_id, "test": p.test_record,
+             "train": list(p.train_records), "val": list(p.val_records)}
+            for p in plans
+        ]
+        print(json_text(rows), end="")
         return 0
 
     dataset = _prepare(exp, recordings)
-    del recordings  # the float64 corpus, before the per-subject copies
-
-    # subsets are copies: build one per subject, shared by its folds, and
-    # drop the full dataset before any fold trains
-    by_subject = {
-        subject: dataset.subset(lambda w, s=subject: w.subject_id == s)
-        for subject in subjects
-    }
-    del dataset
-    tasks = (
-        plans,
-        [by_subject[plan.subject_id] for plan in plans],
-        [init_by_subject[plan.subject_id] for plan in plans],
-        repeat(exp),
-    )
-    workers = min(args.jobs, len(plans))  # a pool forks all its workers up front
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_fold_task, *tasks))
-    else:
-        outcomes = list(map(_fold_task, *tasks))
-
-    scores_by_subject: dict[str, list[EventScore]] = {}
-    for plan, (score, payload) in zip(plans, outcomes):
-        scores_by_subject.setdefault(plan.subject_id, []).append(score)
-        _write_atomic(
-            exp.out_dir / f"fold_{plan.subject_id}_{plan.test_record}.json",
-            json_text(payload),
-        )
-
-    per_subject = {
-        subject: aggregate(scores) for subject, scores in scores_by_subject.items()
-    }
-    overall = aggregate([s for scores in scores_by_subject.values() for s in scores])
-
+    del recordings  # the float64 corpus, before any fold trains
+    scores = list(_fan_out(_fold_task, plans, args.jobs, dataset, exp, inits))
+    by_subject = {subject: [] for subject in subjects}
+    for plan, score in zip(plans, scores):
+        by_subject[plan.subject_id].append(score)
+    per_subject = {s: _score_dict(aggregate(by_subject[s])) for s in subjects}
     payload = {
         **_stage_header(exp, "loocv"),
-        "per_subject": {s: _score_dict(v) for s, v in per_subject.items()},
-        "overall": _score_dict(overall),
+        "per_subject": per_subject,
+        "overall": _score_dict(aggregate(scores)),
     }
     _write_atomic(exp.out_dir / "loocv_result.json", json_text(payload))
-
-    rows = [
-        (subject, len(scores_by_subject[subject]), payload["per_subject"][subject])
-        for subject in sorted(per_subject)
-    ]
+    rows = [(s, len(by_subject[s]), per_subject[s]) for s in subjects]
     rows.append(("OVERALL", len(plans), payload["overall"]))
     _write_table(exp.out_dir / "loocv_table.csv", "subject,folds", rows)
     return 0
+
+
+def _fold_task(plan: FoldPlan, dataset, exp: Experiment, inits) -> EventScore:
+    """One fold: writes ``fold_<subject>_<record>.json`` and returns its
+    score."""
+    result = run_fold(
+        plan, dataset, exp.model,
+        Rng(exp.seed, ("fold", plan.subject_id, plan.test_record)),
+        init=inits[plan.subject_id], init_policy=exp.init_policy,
+        freeze_policy=exp.freeze_policy, sswce_spec=exp.sswce,
+        sampler_spec=exp.sampler, optim_spec=exp.optim,
+        schedule_spec=exp.schedule, train_spec=exp.train,
+    )
+    # the test windows were labelled from the record's truth events
+    track = PredictionTrack(
+        record_id=plan.test_record,
+        probs=result.probs,
+        truth_events=label_runs(result.test_labels),
+        window_s=exp.window_s,
+    )
+    score = score_track(track)
+    payload = {
+        "subject": plan.subject_id,
+        "record": plan.test_record,
+        "config_hash": exp.hash,
+        "window_s": exp.window_s,
+        "probs": [float(p) for p in result.probs],
+        "test_labels": [int(x) for x in result.test_labels],
+        "truth_events": [list(e) for e in track.truth_events],
+        "score": _score_dict(score),
+        "train": _train_summary(result.train),
+    }
+    path = exp.out_dir / f"fold_{plan.subject_id}_{plan.test_record}.json"
+    _write_atomic(path, json_text(payload))
+    return score
 
 
 def _read_track(path: Path, exp: Experiment) -> PredictionTrack:
@@ -621,7 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="config JSON path")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--jobs", type=int, default=1, help="parallel folds")
+        jobs = "second-pretrain subjects or loocv folds run at once; others ignore it"
+        p.add_argument("--jobs", type=int, default=1, help=jobs)
         p.add_argument("--dry-run", action="store_true", dest="dry_run")
         p.add_argument("--out", default=None, help="output directory override")
 
@@ -675,6 +660,10 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as err:  # numpy's text names the allocation that failed
         print(f"out of memory: {err}", file=sys.stderr)
+        return 2
+    except BrokenProcessPool:  # the kernel kills a worker when memory runs out
+        message = "a worker process died, most likely out of memory"
+        print(f"{message}: retry with fewer --jobs", file=sys.stderr)
         return 2
 
 

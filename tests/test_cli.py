@@ -24,10 +24,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from seizenet.cli import Experiment, _build_section, load_experiment, main
-from seizenet.eegio import Recording, WindowedDataset, load_corpus, write_edf_file
+from seizenet.eegio import Recording, load_corpus, write_edf_file
 from seizenet.errors import NumericsError, SeizenetError, TrainError
 from seizenet.evalpost import label_runs, truth_events_from_intervals
 from seizenet.synthgen import CorpusSpec
+from seizenet.training import run_fold
 
 CORPUS_SPEC = {
     "subjects": 2,
@@ -86,10 +87,8 @@ def write_json(path: Path, data) -> Path:
 
 def run_chain(config_path, out_dir, jobs=1):
     assert main(["pretrain", "--config", str(config_path)]) == 0
-    assert main(["second-pretrain", "--config", str(config_path)]) == 0
-    assert (
-        main(["loocv", "--config", str(config_path), "--jobs", str(jobs)]) == 0
-    )
+    for stage in ("second-pretrain", "loocv"):
+        assert main([stage, "--config", str(config_path), "--jobs", str(jobs)]) == 0
     assert main(["eval", "--config", str(config_path)]) == 0
     return out_dir
 
@@ -366,47 +365,15 @@ class TestLoocv:
         assert {p["subject"] for p in plans} == {"s00", "s01"}
         assert not (tmp_path / "out").exists()
 
-    def test_raw_records_are_freed_before_the_subject_subsets(
-        self, workdir, tmp_path, monkeypatch
-    ):
-        # the float64 corpus must not coexist with the per-subject copies
-        loaded = []
-
-        def tracked_load_corpus(corpus_dir):
-            recordings = load_corpus(corpus_dir)
-            loaded.extend(weakref.ref(rec) for rec in recordings)
-            return recordings
-
-        class Stop(Exception):
-            pass
-
-        alive_at_subset = []
-
-        def subset(self, predicate):
-            alive_at_subset.append(sum(ref() is not None for ref in loaded))
-            raise Stop
-
-        monkeypatch.setattr("seizenet.cli.load_corpus", tracked_load_corpus)
-        monkeypatch.setattr(WindowedDataset, "subset", subset)
-        cfg = write_json(
-            tmp_path / "exp.json",
-            experiment_dict(
-                workdir["corpus_dir"], tmp_path / "out", init_policy="random"
-            ),
-        )
-        with pytest.raises(Stop):
-            main(["loocv", "--config", str(cfg)])
-        assert len(loaded) == 6
-        assert alive_at_subset == [0]
-
     def test_jobs_beyond_the_fold_count_start_one_worker_per_fold(
         self, workdir, tmp_path, monkeypatch
     ):
         started = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 started.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -418,14 +385,17 @@ class TestLoocv:
                 return map(fn, *iterables)
 
         monkeypatch.setattr("seizenet.cli.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("seizenet.cli._shared", ())  # set by the initializer
         cfg = write_json(
             tmp_path / "exp.json",
             experiment_dict(
                 workdir["corpus_dir"], tmp_path / "out", init_policy="random"
             ),
         )
-        assert main(["loocv", "--config", str(cfg), "--jobs", "64"]) == 0
-        assert started == [6]
+        for stage in ("second-pretrain", "loocv"):
+            assert main([stage, "--config", str(cfg), "--jobs", "64"]) == 0
+        assert started == [2, 6]
+        assert len(list((tmp_path / "out").glob("second_s0?.ckpt"))) == 2
         assert len(list((tmp_path / "out").glob("fold_*.json"))) == 6
 
     def test_too_few_records_is_protocol_error(self, tmp_path, capsys):
@@ -443,6 +413,78 @@ class TestLoocv:
         )
         assert main(["loocv", "--config", str(cfg)]) == 3
         assert "protocol error" in capsys.readouterr().err
+
+
+class TestFanOut:
+    """second-pretrain subjects and loocv folds run as tasks of
+    ``cli._fan_out``, each writing its own files as it ends."""
+
+    @pytest.fixture
+    def random_init_cfg(self, workdir, tmp_path):
+        exp = experiment_dict(
+            workdir["corpus_dir"], tmp_path / "out", init_policy="random"
+        )
+        return str(write_json(tmp_path / "exp.json", exp))
+
+    def test_raw_records_are_freed_before_the_first_task_trains(
+        self, random_init_cfg, monkeypatch
+    ):
+        # the float64 corpus must not be alive while any task trains
+        loaded = []
+
+        def tracked_load_corpus(corpus_dir):
+            recordings = load_corpus(corpus_dir)
+            loaded.extend(weakref.ref(rec) for rec in recordings)
+            return recordings
+
+        class Stop(Exception):
+            pass
+
+        alive_at_first_task = []
+
+        def first_task(*args, **kwargs):
+            alive_at_first_task.append(sum(ref() is not None for ref in loaded))
+            raise Stop
+
+        monkeypatch.setattr("seizenet.cli.load_corpus", tracked_load_corpus)
+        monkeypatch.setattr("seizenet.cli.run_second_pretraining", first_task)
+        monkeypatch.setattr("seizenet.cli.run_fold", first_task)
+        for stage in ("second-pretrain", "loocv"):
+            with pytest.raises(Stop):
+                main([stage, "--config", random_init_cfg])
+        assert len(loaded) == 12
+        assert alive_at_first_task == [0, 0]
+
+    def test_a_failed_fold_keeps_the_files_of_the_folds_before_it(
+        self, random_init_cfg, tmp_path, monkeypatch, capsys
+    ):
+        folds = []
+
+        def second_fold_diverges(plan, *args, **kwargs):
+            folds.append(plan.test_record)
+            if len(folds) == 2:
+                raise TrainError("fold loss diverged")
+            return run_fold(plan, *args, **kwargs)
+
+        monkeypatch.setattr("seizenet.cli.run_fold", second_fold_diverges)
+        assert main(["loocv", "--config", random_init_cfg]) == 4
+        assert "fold loss diverged" in capsys.readouterr().err
+        out = tmp_path / "out"
+        written = [path.name for path in out.glob("fold_*.json")]
+        assert written == [f"fold_s00_{folds[0]}.json"]
+        assert json.loads((out / written[0]).read_text())["record"] == folds[0]
+        assert not (out / "loocv_result.json").exists()
+
+    def test_a_dying_worker_exits_2_without_a_traceback(
+        self, random_init_cfg, monkeypatch, capsys
+    ):
+        # forked workers inherit the patch; a worker the kernel kills for
+        # memory dies the same way, without raising
+        monkeypatch.setattr("seizenet.cli.run_fold", lambda *a, **k: os._exit(9))
+        assert main(["loocv", "--config", random_init_cfg, "--jobs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "out of memory" in err and "retry with fewer --jobs" in err
+        assert "Traceback" not in err
 
 
 class TestEval:
@@ -721,6 +763,9 @@ class TestConfigErrors:
                 {"model": {**MODEL, "classifier_dims": []}},
                 "classifier_dims must name at least one layer",
             ),
+            # a stage loads only its own model's checkpoint: an alias of
+            # load_shared that would change the config hash alone
+            ({"init_policy": "load_duplicate"}, "init_policy must be one of"),
         ],
     )
     def test_bad_value_is_config_error_at_load(
